@@ -1,8 +1,7 @@
 // Kernel-core benchmark: the packed/SIMD-blocked gemm against a byte-level
 // preserved copy of the seed scalar kernel (gemm_seed_reference), across the
 // matrix shapes the zoo models actually hit at serving scale (B=8, C=32,
-// 64x64 grids), plus an end-to-end SAU-FNO forward with gemm routed through
-// each implementation.
+// 64x64 grids), plus the end-to-end SAU-FNO forward rate.
 //
 // Also times the compiled-execution-plan forward (plan::PlanRunner) against
 // the define-by-run interpreter on the same weights and input: the two are
@@ -108,8 +107,8 @@ Entry bench_shape(const std::string& name, int64_t m, int64_t n, int64_t k,
 }
 
 /// End-to-end SAU-FNO forward (conv + attention + pointwise + spectral
-/// layers), gemm routed through each implementation via the bench hook.
-double bench_end_to_end(bool smoke, double* fwd_per_sec_out) {
+/// layers); returns forwards per second.
+double bench_end_to_end(bool smoke) {
   const int64_t B = smoke ? 2 : 8;
   const int64_t H = smoke ? 16 : 64, W = H;
   const int64_t cin = 3, cout = 1;
@@ -122,20 +121,14 @@ double bench_end_to_end(bool smoke, double* fwd_per_sec_out) {
 
   NoGradGuard no_grad;
   auto forward = [&] { (void)model->forward(Var(x)); };
-  forward();  // warm FFT plans + arena so both sides time steady state
+  forward();  // warm FFT plans + arena so the loop times steady state
 
-  gemm_force_seed_reference(true);
-  const double sec_seed = time_per_call(iters, forward);
-  gemm_force_seed_reference(false);
-  const double sec_new = time_per_call(iters, forward);
-
-  *fwd_per_sec_out = 1.0 / sec_new;
-  std::printf("\nend-to-end forward (B=%lld, %lldx%lld): %.2f ms -> %.2f ms  "
-              "%.2fx  (%.1f fwd/s)\n",
+  const double sec = time_per_call(iters, forward);
+  std::printf("\nend-to-end forward (B=%lld, %lldx%lld): %.2f ms  "
+              "(%.2f fwd/s)\n",
               static_cast<long long>(B), static_cast<long long>(H),
-              static_cast<long long>(W), sec_seed * 1e3, sec_new * 1e3,
-              sec_seed / sec_new, 1.0 / sec_new);
-  return sec_seed / sec_new;
+              static_cast<long long>(W), sec * 1e3, 1.0 / sec);
+  return 1.0 / sec;
 }
 
 struct PlanBench {
@@ -206,8 +199,7 @@ PlanBench bench_plan(bool smoke) {
 }
 
 void write_json(const char* path, bool smoke, double ref_speedup,
-                double e2e_speedup, double fwd_per_sec,
-                const PlanBench& plan) {
+                double fwd_per_sec, const PlanBench& plan) {
   JsonWriter w;
   w.begin_object();
   w.field("bench", "bench_kernels");
@@ -215,7 +207,6 @@ void write_json(const char* path, bool smoke, double ref_speedup,
   w.field("simd_level", simd::level_name());
   w.field("threads", runtime::ThreadPool::instance().num_threads());
   w.field("gemm_speedup_reference_shape", ref_speedup, 4);
-  w.field("end_to_end_forward_speedup", e2e_speedup, 4);
   w.field("end_to_end_forward_per_sec", fwd_per_sec, 4);
   w.field("plan_compile_ms", plan.compile_ms, 4);
   w.field("plan_compile_trace_ms", plan.compile_trace_ms, 4);
@@ -278,12 +269,10 @@ int main(int argc, char** argv) {
     bench_shape("conv_grad_weight", 32, 288, 4096, 20);
   }
 
-  double fwd_per_sec = 0.0;
-  const double e2e = bench_end_to_end(smoke, &fwd_per_sec);
+  const double fwd_per_sec = bench_end_to_end(smoke);
   const PlanBench plan = bench_plan(smoke);
 
-  write_json("BENCH_kernels.json", smoke, ref.speedup, e2e, fwd_per_sec,
-             plan);
+  write_json("BENCH_kernels.json", smoke, ref.speedup, fwd_per_sec, plan);
 
   int rc = 0;
   if (smoke && ref.speedup < 1.0) {

@@ -105,46 +105,6 @@ void JsonWriter::raw_value(const std::string& json) {
   need_comma_ = true;
 }
 
-bool json_merge_field(const std::string& path, const std::string& key,
-                      const std::string& fragment) {
-  std::string doc;
-  if (std::FILE* f = std::fopen(path.c_str(), "r")) {
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) doc.append(buf, n);
-    std::fclose(f);
-  }
-  // Find the closing brace of the top-level object; everything after it is
-  // trailing whitespace from write_file.
-  const std::size_t close = doc.find_last_of('}');
-  const std::size_t open = doc.find_first_not_of(" \t\r\n");
-  std::string out;
-  if (close == std::string::npos || open == std::string::npos ||
-      doc[open] != '{') {
-    // Missing or not an object: start a fresh document.
-    out = "{\n  \"" + json_escape(key) + "\": " + fragment + "\n}\n";
-  } else {
-    out = doc.substr(0, close);
-    // Strip trailing whitespace, then decide if the object already has
-    // members (needs a separating comma).
-    while (!out.empty() && (out.back() == ' ' || out.back() == '\n' ||
-                            out.back() == '\r' || out.back() == '\t')) {
-      out.pop_back();
-    }
-    if (!out.empty() && out.back() != '{') out += ',';
-    out += "\n  \"" + json_escape(key) + "\": " + fragment + "\n}\n";
-  }
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::printf("could not open %s for writing\n", path.c_str());
-    return false;
-  }
-  std::fwrite(out.data(), 1, out.size(), f);
-  std::fclose(f);
-  std::printf("\nmerged \"%s\" into %s\n", key.c_str(), path.c_str());
-  return true;
-}
-
 bool JsonWriter::write_file(const std::string& path) const {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {

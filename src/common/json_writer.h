@@ -10,16 +10,6 @@ namespace saufno {
 /// included).
 std::string json_escape(const std::string& s);
 
-/// Splice `"key": fragment` into the top-level object of the JSON file at
-/// `path`, so a bench can contribute a section to a file another bench
-/// owns (e.g. bench_runtime_scaling merging "overload" into
-/// BENCH_rollout.json). If the file is missing or not a JSON object, a
-/// fresh `{"key": fragment}` document is written instead. Textual splice,
-/// not a parse: re-running the producer re-creates the file, and the CI
-/// `json.load` smoke steps catch any malformed result.
-bool json_merge_field(const std::string& path, const std::string& key,
-                      const std::string& fragment);
-
 /// Minimal streaming JSON writer shared by the bench BENCH_*.json emitters
 /// and the obs exporters. Handles escaping, comma placement and 2-space
 /// indentation; the caller supplies structure:

@@ -36,9 +36,9 @@ RunnerMetrics& runner_metrics() {
 }  // namespace
 
 Mode mode_from_env() {
-  static const char* const kNames[] = {"off", "on", "compile-only"};
+  static const char* const kNames[] = {"off", "on"};
   return static_cast<Mode>(
-      env_choice("SAUFNO_PLAN", static_cast<int>(Mode::kOn), kNames, 3));
+      env_choice("SAUFNO_PLAN", static_cast<int>(Mode::kOn), kNames, 2));
 }
 
 const char* mode_name(Mode m) {
@@ -47,8 +47,6 @@ const char* mode_name(Mode m) {
       return "off";
     case Mode::kOn:
       return "on";
-    case Mode::kCompileOnly:
-      return "compile-only";
   }
   return "?";
 }
@@ -136,6 +134,16 @@ std::shared_ptr<PlanExecutor> PlanRunner::get_or_compile(const Shape& shape) {
   return ins.first->second;
 }
 
+bool PlanRunner::prepare(const Shape& shape) {
+  if (mode_ == Mode::kOff) return false;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (cache_.count(shape) != 0) return false;
+  }
+  get_or_compile(shape);
+  return true;
+}
+
 Tensor PlanRunner::forward(const Tensor& input) {
   if (mode_ == Mode::kOff) return interpret(input);
   std::shared_ptr<PlanExecutor> exec = get_or_compile(input.shape());
@@ -145,7 +153,6 @@ Tensor PlanRunner::forward(const Tensor& input) {
     runner_metrics().fallbacks.add();
     return interpret(input);
   }
-  if (mode_ == Mode::kCompileOnly) return interpret(input);
   SAUFNO_TRACE_SPAN("plan.execute");
   return exec->run(input);
 }

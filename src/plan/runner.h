@@ -13,13 +13,10 @@ namespace saufno {
 namespace plan {
 
 /// Plan execution policy, selected per engine via Config or the
-/// SAUFNO_PLAN environment knob (`on` / `off` / `compile-only`, or 1/0/2).
+/// SAUFNO_PLAN environment knob (`on` / `off`, or 1/0).
 enum class Mode : int {
-  kOff = 0,          // always interpret (define-by-run ops::)
-  kOn = 1,           // compile per input shape, execute the plan
-  kCompileOnly = 2,  // compile + validate, but still execute interpreted
-                     // (deploy canary: proves every shape is plan-clean
-                     // without routing traffic through the new path)
+  kOff = 0,  // always interpret (define-by-run ops::)
+  kOn = 1,   // compile per input shape, execute the plan
 };
 
 /// Resolve Mode from SAUFNO_PLAN (hardened env_choice parse; unset => kOn).
@@ -42,10 +39,10 @@ class PlanRunner {
   /// and interprets instead, so serving never breaks.
   Tensor forward(const Tensor& input);
 
-  /// Force one interpreted forward regardless of mode: the engine's output
-  /// guard retries through this when a plan-mode forward produced non-finite
-  /// values (degrade once, then fail only the affected requests).
-  Tensor forward_interpreted(const Tensor& input) { return interpret(input); }
+  /// Compile the plan for `shape` ahead of its first forward. Returns true
+  /// when this call compiled it (false when cached, or in kOff mode). A
+  /// compile that fails is cached as a fallback like in forward().
+  bool prepare(const Shape& shape);
 
   Mode mode() const { return mode_; }
   /// Number of shapes with a cached compile attempt (hit or failed).

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "common/env.h"
 #include "common/fault.h"
 #include "common/logging.h"
 #include "nn/serialize.h"
@@ -34,7 +33,6 @@ struct EngineMetrics {
   obs::Counter& isolation_splits = obs::counter("engine.isolation_splits");
   obs::Counter& isolated_failures = obs::counter("engine.isolated_failures");
   obs::Counter& nonfinite_outputs = obs::counter("engine.nonfinite_outputs");
-  obs::Counter& plan_degraded = obs::counter("engine.plan_degraded");
   obs::Counter& watchdog_trips = obs::counter("engine.watchdog_trips");
   obs::Counter& drains = obs::counter("engine.drains");
   obs::Histogram& latency_ms = obs::histogram("engine.latency_ms");
@@ -104,9 +102,9 @@ InferenceEngine::InferenceEngine(std::shared_ptr<nn::Module> model,
   SAUFNO_CHECK(model_ != nullptr, "InferenceEngine needs a model");
   SAUFNO_CHECK(cfg_.max_batch >= 1, "max_batch must be >= 1");
   SAUFNO_CHECK(cfg_.max_wait_us >= 0, "max_wait_us must be >= 0");
-  SAUFNO_CHECK(cfg_.plan_mode >= -1 && cfg_.plan_mode <= 2,
-               "plan_mode must be -1 (env), 0 (off), 1 (on) or 2 "
-               "(compile-only)");
+  SAUFNO_CHECK(cfg_.plan_mode >= -1 && cfg_.plan_mode <= 1,
+               "plan_mode must be -1 (env), 0 (off) or 1 (on)");
+  SAUFNO_CHECK(cfg_.queue_capacity >= 0, "queue_capacity must be >= 0");
   SAUFNO_CHECK(cfg_.shard_capacity >= 0, "shard_capacity must be >= 0");
   SAUFNO_CHECK(cfg_.watchdog_timeout_ms >= 0,
                "watchdog_timeout_ms must be >= 0 (0 disables)");
@@ -115,13 +113,6 @@ InferenceEngine::InferenceEngine(std::shared_ptr<nn::Module> model,
                               ? plan::mode_from_env()
                               : static_cast<plan::Mode>(cfg_.plan_mode);
   plan_ = std::make_unique<plan::PlanRunner>(model_, mode);
-  // Resolve the admission-control bound: config wins; -1 defers to the
-  // SAUFNO_QUEUE_CAP knob (default 1024); 0 means unbounded. config() then
-  // reports the resolved value.
-  if (cfg_.queue_capacity < 0) {
-    cfg_.queue_capacity = env_int_in_range("SAUFNO_QUEUE_CAP", 1024, 0,
-                                           1 << 20);
-  }
   queue_.set_capacity(static_cast<std::size_t>(cfg_.queue_capacity),
                       static_cast<std::size_t>(cfg_.shard_capacity));
   batch_ms_ewma_bits_.store(double_bits(1.0), std::memory_order_relaxed);
@@ -429,7 +420,7 @@ void InferenceEngine::execute_range(std::vector<InferenceRequest>& batch,
                        request_desc(batch[lo]) + "]")));
     return;
   }
-  if (!cfg_.isolate_faults || depth > 12) {
+  if (depth > 12) {
     // Fan the failure out — but still name every request it lands on
     // (an anonymous batch-wide error was the old, useless behavior).
     for (std::size_t i = lo; i < hi; ++i) {
@@ -451,24 +442,14 @@ void InferenceEngine::execute_range(std::vector<InferenceRequest>& batch,
 
 namespace {
 
-/// Number of row partitions for one batched forward. Explicit config wins;
-/// 0 defers to SAUFNO_BATCH_PARTITIONS, else to an auto heuristic: the
-/// largest divisor of the batch that fits the pool lanes with at least 2
-/// rows per partition. Whatever the source, the count is rounded down to a
-/// divisor of the batch so every partition runs the SAME plan shape (one
-/// extra compile, ever) and tiny batches never shatter into per-row
-/// forwards.
-int64_t resolve_batch_partitions(int64_t configured, int64_t padded) {
-  int64_t p = configured;
-  if (p == 0) {
-    static const int env_p =
-        env_int_in_range("SAUFNO_BATCH_PARTITIONS", 0, 0, 1024);
-    p = env_p;
-  }
-  if (p == 0) {
-    p = std::min<int64_t>(ThreadPool::instance().num_threads(), padded / 2);
-  }
-  p = std::max<int64_t>(1, std::min<int64_t>(p, padded));
+/// Number of row partitions for one batched forward: the largest divisor of
+/// the batch that fits the pool lanes with at least 2 rows per partition.
+/// A divisor, so every partition runs the SAME plan shape (one extra
+/// compile, ever), and tiny batches never shatter into per-row forwards.
+int64_t resolve_partitions(int64_t padded) {
+  int64_t p = std::min<int64_t>(ThreadPool::instance().num_threads(),
+                                padded / 2);
+  p = std::max<int64_t>(1, p);
   while (padded % p != 0) --p;
   return p;
 }
@@ -529,7 +510,15 @@ void InferenceEngine::forward_and_deliver(std::vector<InferenceRequest>& batch,
   // partitioned-vs-not bitwise tests), so forwarding rows [r0, r1) alone
   // and concatenating in row order is bit-identical to one whole-batch
   // forward.
-  const int64_t parts = resolve_batch_partitions(cfg_.batch_partitions, padded);
+  const int64_t parts = resolve_partitions(padded);
+  const int64_t rows = padded / parts;  // parts divides padded (resolver)
+  // A cold plan compile is a traced forward of its own. Compile the shape
+  // the partitions share up front and count its completion as progress, so
+  // the watchdog times the compile and the forward apart. A hung compile
+  // still trips it.
+  if (plan_->prepare({rows, in_shape[0], in_shape[1], in_shape[2]})) {
+    busy_since_ns_.store(now_ns(), std::memory_order_release);
+  }
   Tensor fwd_out = [&] {
     SAUFNO_TRACE_SPAN("engine.forward");
     const auto t0 = std::chrono::steady_clock::now();
@@ -537,7 +526,6 @@ void InferenceEngine::forward_and_deliver(std::vector<InferenceRequest>& batch,
     if (parts <= 1) {
       v = plan_->forward(stacked);
     } else {
-      const int64_t rows = padded / parts;  // parts divides padded (resolver)
       std::vector<Tensor> outs(static_cast<std::size_t>(parts));
       {
         TaskGroup g;
@@ -580,43 +568,20 @@ void InferenceEngine::forward_and_deliver(std::vector<InferenceRequest>& batch,
   const int64_t out_sample = os[1] * os[2] * os[3];
 
   // Output guard: a forward that RETURNED can still carry poison (NaN/Inf
-  // from a numeric bug or an injected fault). Degradation policy: if the
-  // compiled-plan path produced it, replay once through the interpreter —
-  // a plan bug must not fail requests the interpreter can serve — then
-  // fail only the still-poisoned rows, never the engine.
+  // from a numeric bug or an injected fault). Fail only the poisoned rows,
+  // never the engine. The plan is memcmp-equal to the interpreter, so no
+  // other path could serve them.
   std::vector<char> dead(static_cast<std::size_t>(bsz), 0);
-  if (cfg_.output_guard) {
-    auto scan = [&](const Tensor& t) {
-      std::vector<int64_t> bad;
-      for (int64_t i = 0; i < bsz; ++i) {
-        if (find_nonfinite(t.data() + i * out_sample, out_sample) >= 0) {
-          bad.push_back(i);
-        }
-      }
-      return bad;
-    };
-    std::vector<int64_t> bad = scan(fwd_out);
-    if (!bad.empty() && plan_->mode() == plan::Mode::kOn) {
-      engine_metrics().plan_degraded.add();
-      SAUFNO_WARN << "engine: non-finite output in " << bad.size() << "/"
-                  << bsz << " rows from the plan path; retrying this batch "
-                  << "through the interpreter";
-      Tensor retry = plan_->forward_interpreted(stacked);
-      SAUFNO_CHECK(retry.shape() == os,
-                   "interpreter retry returned a different shape " +
-                       shape_str(retry.shape()));
-      fwd_out = std::move(retry);
-      bad = scan(fwd_out);
+  for (int64_t i = 0; i < bsz; ++i) {
+    if (find_nonfinite(fwd_out.data() + i * out_sample, out_sample) < 0) {
+      continue;
     }
-    for (const int64_t i : bad) {
-      engine_metrics().nonfinite_outputs.add();
-      dead[static_cast<std::size_t>(i)] = 1;
-      complete_error(batch[lo + static_cast<std::size_t>(i)],
-                     std::make_exception_ptr(RequestError(
-                         "non-finite value in model output [" +
-                         request_desc(batch[lo + static_cast<std::size_t>(i)]) +
-                         "]")));
-    }
+    InferenceRequest& req = batch[lo + static_cast<std::size_t>(i)];
+    engine_metrics().nonfinite_outputs.add();
+    dead[static_cast<std::size_t>(i)] = 1;
+    complete_error(req, std::make_exception_ptr(RequestError(
+                            "non-finite value in model output [" +
+                            request_desc(req) + "]")));
   }
 
   Tensor decoded;

@@ -86,13 +86,19 @@ struct InferenceStats {
 /// - Fault isolation: inputs are validated at submit (shape, channels, and
 ///   — with `validate_finite` — NaN/Inf); a batch forward exception is
 ///   re-run in bisection so only the culpable request(s) fail; non-finite
-///   outputs degrade plan→interpreter once and then fail only the affected
-///   requests. A poisoned request never takes down its batch-mates or the
-///   engine.
+///   outputs fail only the affected requests. A poisoned request never
+///   takes down its batch-mates or the engine.
 /// - Graceful drain: `drain(timeout)` stops admissions, flushes the queue,
 ///   and resolves stragglers with ShutdownError. A `watchdog_timeout_ms`
 ///   watchdog fails pending futures when the batcher stops making progress
-///   instead of hanging clients forever.
+///   instead of hanging clients forever; a finished plan compile counts as
+///   progress, so a cold compile and the forward after it are timed apart.
+/// - Batch partitioning: a padded batch is split into contiguous row
+///   partitions run concurrently as TaskGroup tasks, one per pool lane with
+///   at least 2 rows each (the largest such divisor of the batch, so every
+///   partition shares one plan shape). Results are bit-identical
+///   partitioned or not: every kernel is per-sample independent, and
+///   partition outputs are reassembled in row order.
 class InferenceEngine {
  public:
   struct Config {
@@ -107,44 +113,25 @@ class InferenceEngine {
     /// this in from their channel arguments / the checkpoint meta.
     int64_t expected_in_channels = 0;
     /// Execution-plan policy for the forward: a plan::Mode value (0 = off /
-    /// interpret, 1 = on, 2 = compile-only), or -1 to read the SAUFNO_PLAN
-    /// environment knob (the default). Plan-mode forwards are bit-identical
-    /// to interpreted ones; any shape the tracer cannot plan falls back to
-    /// the interpreter automatically.
+    /// interpret, 1 = on), or -1 to read the SAUFNO_PLAN environment knob
+    /// (the default). Plan-mode forwards are bit-identical to interpreted
+    /// ones; any shape the tracer cannot plan falls back to the interpreter
+    /// automatically.
     int plan_mode = -1;
     /// Admission control: max queued requests across all shards (0 =
     /// unbounded) and per shape shard (0 = same as queue_capacity). The
     /// default bounds the backlog at 1024 requests — deep enough that no
     /// well-behaved workload notices, shallow enough that overload sheds
     /// with OverloadedError instead of growing the queue without limit.
-    /// SAUFNO_QUEUE_CAP overrides the default when the config leaves it.
-    int64_t queue_capacity = -1;  // -1 = SAUFNO_QUEUE_CAP or 1024
+    int64_t queue_capacity = 1024;
     int64_t shard_capacity = 0;
     /// Reject non-finite (NaN/Inf) inputs at submit() with RequestError.
     bool validate_finite = true;
-    /// On a batch forward exception, re-run in bisection so only the
-    /// culpable request(s) get the exception and batch-mates still succeed.
-    bool isolate_faults = true;
-    /// Scan outputs for NaN/Inf; on a hit, degrade plan→interpreter once,
-    /// then fail only the affected request(s) — never the engine.
-    bool output_guard = true;
     /// Fail pending futures when the batcher makes no progress on one batch
     /// for this long (a stuck forward must not hang clients forever).
     /// 0 disables the watchdog. The default (10 s) is far beyond any
     /// legitimate batch — sanitizer lanes included.
     int64_t watchdog_timeout_ms = 10000;
-    /// Split each batched forward into this many contiguous row partitions
-    /// run concurrently as TaskGroup tasks (each partition is its own
-    /// plan/interpreter forward; an op inside one partition still
-    /// decomposes onto the pool — intra-op x inter-batch). 1 disables
-    /// partitioning; 0 (default) = the SAUFNO_BATCH_PARTITIONS env knob,
-    /// else an auto heuristic (largest divisor of the batch <= pool lanes
-    /// with >= 2 rows per partition, so every partition shares one plan
-    /// shape). Results are bit-identical partitioned or not: every kernel
-    /// is per-sample independent (pinned by the padded-vs-unpadded and
-    /// partitioned-vs-not bitwise tests), and partition outputs are
-    /// reassembled in row order.
-    int64_t batch_partitions = 0;
   };
 
   /// Takes shared ownership of `model`, switches it to eval mode and starts
@@ -213,8 +200,7 @@ class InferenceEngine {
   void execute_range(std::vector<InferenceRequest>& batch, std::size_t lo,
                      std::size_t hi, int depth);
   /// One forward attempt over the range. Throws on forward failure;
-  /// non-finite outputs degrade plan→interpreter once, then fail only the
-  /// affected rows.
+  /// non-finite outputs fail only the affected rows.
   void forward_and_deliver(std::vector<InferenceRequest>& batch,
                            std::size_t lo, std::size_t hi);
   /// Deliver a value honoring the request's deadline (a late value becomes

@@ -87,7 +87,7 @@ void parallel_for(int64_t begin, int64_t end, int64_t grain,
   ThreadPool& pool = ThreadPool::instance();
   const int depth = detail::task_depth_ref();
   if (pool.num_threads() <= 1 || n_chunks <= 1 ||
-      depth >= detail::max_task_depth()) {
+      depth >= detail::kMaxTaskDepth) {
     // Inline path runs the SAME chunking in chunk order so reductions built
     // on per-chunk partials match the decomposed path bit-for-bit. The
     // depth still advances: in_parallel_region() and nested decomposition
@@ -117,14 +117,6 @@ void parallel_for(int64_t begin, int64_t end, int64_t grain,
 
   wait_all(*state, pool);
   if (state->has_error.load()) std::rethrow_exception(state->eptr);
-}
-
-void parallel_invoke(std::vector<std::function<void()>> fns) {
-  if (fns.empty()) return;
-  parallel_for(0, static_cast<int64_t>(fns.size()), 1,
-               [&](int64_t b, int64_t e) {
-                 for (int64_t i = b; i < e; ++i) fns[static_cast<std::size_t>(i)]();
-               });
 }
 
 double parallel_sum(int64_t n, int64_t grain,

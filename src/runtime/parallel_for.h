@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 namespace saufno {
 namespace runtime {
@@ -18,18 +17,15 @@ namespace runtime {
 /// finished. The first exception thrown by `fn` is rethrown on the caller.
 ///
 /// Nested calls (fn itself calling parallel_for, directly or through a
-/// TaskGroup) DECOMPOSE onto the pool like top-level ones, up to
-/// SAUFNO_MAX_NEST levels deep (default 4; deeper loops run their chunks
-/// inline, in chunk order). While a loop waits for chunks in flight on
-/// other threads, the waiting thread runs other queued pool tasks instead
-/// of idling, so nesting never strands a lane and never deadlocks: a chunk
-/// is only "in flight" on a thread actively executing it, so every wait
-/// chain bottoms out at a running leaf.
+/// TaskGroup) DECOMPOSE onto the pool like top-level ones, up to 4 levels
+/// deep; deeper loops run their chunks inline, in chunk order. While a loop
+/// waits for chunks in flight on other threads, the waiting thread runs
+/// other queued pool tasks instead of idling, so nesting never strands a
+/// lane and never deadlocks: a chunk is only "in flight" on a thread
+/// actively executing it, so every wait chain bottoms out at a running
+/// leaf.
 void parallel_for(int64_t begin, int64_t end, int64_t grain,
                   const std::function<void(int64_t, int64_t)>& fn);
-
-/// Run independent tasks concurrently; returns when all have finished.
-void parallel_invoke(std::vector<std::function<void()>> fns);
 
 /// Deterministic parallel sum over [0, n): `chunk_sum(b, e)` returns the
 /// double partial for one grain-sized chunk; partials are combined in chunk

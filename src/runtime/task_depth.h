@@ -2,10 +2,8 @@
 
 // Internal to the task runtime (parallel_for.cpp, task_group.cpp): the
 // per-thread nesting depth that structured parallel constructs share, and
-// the knobs that bound decomposition. Not part of the public API — kernels
+// the bounds on decomposition. Not part of the public API — kernels
 // query runtime::in_parallel_region() instead.
-
-#include "common/env.h"
 
 namespace saufno {
 namespace runtime {
@@ -25,12 +23,9 @@ inline int& task_depth_ref() {
 /// Depth cap for decomposition: loops/groups nested deeper than this run
 /// their chunks inline (same chunk boundaries, chunk order). Three levels
 /// cover the deepest real seam — an op inside a plan level inside a batch
-/// partition — and the default leaves one spare before fan-out overhead
+/// partition — and the fourth leaves one spare before fan-out overhead
 /// outweighs the win on leaf kernels (a gemm's pack loop inside all that).
-inline int max_task_depth() {
-  static const int v = env_int_in_range("SAUFNO_MAX_NEST", 4, 1, 64);
-  return v;
-}
+constexpr int kMaxTaskDepth = 4;
 
 /// Bound on re-entrant "help" (running other pool tasks while waiting for
 /// one's own): each helped task can itself wait and help, growing the

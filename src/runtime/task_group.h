@@ -19,7 +19,7 @@ struct TaskGroupState;
 ///
 /// Tasks run at nesting depth spawner+1 — the same lexical-tree depth rule
 /// as parallel_for — so a parallel_for inside a task decomposes onto the
-/// pool (up to SAUFNO_MAX_NEST) and in_parallel_region() is true inside the
+/// pool (up to 4 levels) and in_parallel_region() is true inside the
 /// task body at every thread count. While wait() blocks, the waiting thread
 /// helps by running other queued pool tasks, so nested groups cannot
 /// deadlock: every wait chain bottoms out at a task actively executing on

@@ -2,11 +2,6 @@
 
 #include <chrono>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 #include "common/env.h"
 #include "common/logging.h"
 #include "obs/metrics.h"
@@ -83,25 +78,6 @@ void ThreadPool::start(int n) {
     threads_.emplace_back(
         [this, i] { worker_loop(static_cast<std::size_t>(i)); });
   }
-#if defined(__linux__)
-  // Optional affinity: SAUFNO_PIN_THREADS=1 pins worker i to core (i+1) mod
-  // hw (core 0 is left to the submitting thread). Best-effort — failures
-  // (cgroup CPU masks, fewer cores than lanes) are ignored, and the setting
-  // never affects results, only placement.
-  if (env_int_in_range("SAUFNO_PIN_THREADS", 0, 0, 1) == 1) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    if (hw > 0) {
-      for (int i = 0; i < n_workers; ++i) {
-        cpu_set_t set;
-        CPU_ZERO(&set);
-        CPU_SET((static_cast<unsigned>(i) + 1) % hw, &set);
-        pthread_setaffinity_np(threads_[static_cast<std::size_t>(i)]
-                                   .native_handle(),
-                               sizeof(set), &set);
-      }
-    }
-  }
-#endif
 }
 
 void ThreadPool::stop_and_join() {

@@ -1,7 +1,6 @@
 #include "tensor/kernels.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 
 #include "common/fault.h"
@@ -22,10 +21,6 @@ namespace {
 constexpr int64_t kMR = 6;
 constexpr int64_t kNR = 16;
 constexpr int64_t kKC = 512;
-
-// Bench/test hook: route gemm() through the seed kernel so old-vs-new can
-// be measured end-to-end through unmodified model code.
-std::atomic<bool> g_force_seed_reference{false};
 
 // --- microkernel: tile[MR][NR] = Ap(kc x MR) * Bp(kc x NR) -----------------
 //
@@ -196,10 +191,6 @@ void gemm(const float* a, const float* b, float* c, int64_t m, int64_t n,
     }
     return;
   }
-  if (g_force_seed_reference.load(std::memory_order_relaxed)) {
-    gemm_seed_reference(a, b, c, m, n, k, accumulate);
-    return;
-  }
   gemm_blocked(a, b, c, m, n, k, accumulate);
 }
 
@@ -227,10 +218,6 @@ void gemm_seed_reference(const float* a, const float* b, float* c, int64_t m,
       }
     }
   });
-}
-
-void gemm_force_seed_reference(bool on) {
-  g_force_seed_reference.store(on, std::memory_order_relaxed);
 }
 
 void im2col(const float* img, float* cols, int64_t c, int64_t h, int64_t w,

@@ -24,11 +24,6 @@ void gemm(const float* a, const float* b, float* c, int64_t m, int64_t n,
 void gemm_seed_reference(const float* a, const float* b, float* c, int64_t m,
                          int64_t n, int64_t k, bool accumulate);
 
-/// Bench/test hook: while on, gemm() routes through gemm_seed_reference so
-/// end-to-end old-vs-new comparisons run through unmodified model code.
-/// Not for production use (flipping it mid-run changes numerics).
-void gemm_force_seed_reference(bool on);
-
 /// im2col for 2-D convolution with square stride-1 semantics generalized to
 /// arbitrary stride/padding. Input is one image [C, H, W]; the column buffer
 /// is [C*kh*kw, out_h*out_w] row-major so that conv = weight-matrix * cols.

@@ -628,7 +628,7 @@ void bmm_into(const Tensor& a, const Tensor& b, Tensor& out) {
   SAUFNO_CHECK(out.numel() == batch * m * n,
                "bmm destination numel mismatch");
   // Parallel over the batch; the nested gemm's own parallel_for decomposes
-  // onto the pool too (up to SAUFNO_MAX_NEST), so idle lanes pick up
+  // onto the pool too (up to 4 nesting levels), so idle lanes pick up
   // row-blocks of in-flight gemms instead of waiting. Chunk boundaries at
   // both levels depend only on shapes, so results stay bit-identical. With
   // batch == 1 the gemm row-block parallelism takes over entirely.

@@ -7,6 +7,7 @@
 #include <limits>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -185,33 +186,41 @@ TEST(InferenceEngine, PaddedBatchBitIdenticalToUnpaddedWithNormalizer) {
 }
 
 TEST(InferenceEngine, PartitionedBatchBitIdenticalToWholeBatchForward) {
-  // batch_partitions splits one batched forward into contiguous row
-  // sub-forwards run concurrently; per-sample independence (pinned above)
-  // makes that bit-identical to the whole-batch forward. Run at several
-  // thread counts so the TaskGroup actually schedules concurrently.
+  // The engine splits a padded batch of 8 into one row partition per pool
+  // lane with >= 2 rows each: pools of 1, 3 and 8 lanes give 1, 2 and 4
+  // partitions, run concurrently as TaskGroup tasks. Per-sample
+  // independence (pinned above) makes every split bit-identical to the
+  // whole-batch forward at pool 1.
   auto model = smoke_model();
   const auto norm =
       data::Normalizer::from_stats(298.15, 2.0, 10.0, /*n_power=*/1);
   const auto maps = random_maps(8, 12, 99);
+  const int ambient = ThreadPool::instance().num_threads();
 
-  auto serve = [&](int64_t parts) {
+  auto serve = [&](int threads, int64_t parts) {
+    ThreadPool::instance().resize(threads);
     InferenceEngine::Config cfg;
     cfg.max_batch = 8;
     cfg.max_wait_us = 50000;
     cfg.pad_to_full_batch = true;  // stable batch of 8 -> stable partitions
-    cfg.batch_partitions = parts;
     InferenceEngine engine(model, norm, cfg);
     std::vector<std::future<Tensor>> futs;
     for (const auto& m : maps) futs.push_back(engine.submit(m.clone()));
     std::vector<Tensor> out;
     for (auto& f : futs) out.push_back(f.get());
+    if (engine.plan_runner().mode() == plan::Mode::kOn) {
+      // The one plan compiled is for the partition shape.
+      EXPECT_EQ(engine.plan_runner().cache_size(), 1u);
+      EXPECT_NE(engine.plan_runner().executor_for({8 / parts, 3, 12, 12}),
+                nullptr)
+          << threads << " lanes should give " << parts << " partitions";
+    }
+    ThreadPool::instance().resize(ambient);
     return out;
   };
-  const auto whole = serve(1);
-  for (const int threads : {2, 8}) {
-    runtime::ThreadPool::instance().resize(threads);
-    const auto split = serve(4);
-    runtime::ThreadPool::instance().resize(1);
+  const auto whole = serve(1, 1);
+  for (const auto& [threads, parts] : {std::pair{3, 2}, std::pair{8, 4}}) {
+    const auto split = serve(threads, parts);
     for (std::size_t i = 0; i < maps.size(); ++i) {
       ASSERT_EQ(split[i].shape(), whole[i].shape());
       EXPECT_EQ(std::memcmp(split[i].data(), whole[i].data(),
@@ -700,6 +709,67 @@ TEST(InferenceEngine, WatchdogFailsFuturesWhenBatcherStopsProgressing) {
   EXPECT_THROW(engine.submit(Tensor::randn({3, 10, 10}, rng)),
                runtime::ShutdownError);
   EXPECT_GE(engine.stats().failed, 1);
+}
+
+/// Sleeps `ms` in every forward before running `inner`. A plan compile (one
+/// traced forward) therefore takes at least `ms`; the compiled plan replays
+/// only the recorded kernels and never sleeps.
+class SlowTraceModel : public nn::Module {
+ public:
+  SlowTraceModel(std::shared_ptr<nn::Module> inner, int ms) : ms_(ms) {
+    inner_ = register_module("inner", std::move(inner));
+  }
+  Var forward(const Var& x) override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(ms_));
+    return inner_->forward(x);
+  }
+
+ private:
+  nn::Module* inner_;
+  int ms_;
+};
+
+TEST(InferenceEngine, ColdPlanCompileCountsAsWatchdogProgress) {
+  // The first batch compiles its plan (600 ms) and then runs it (600 ms
+  // injected). Each step is under the 800 ms watchdog, but together they
+  // exceed it by more than one 200 ms watchdog poll: the finished compile
+  // must count as progress, or the engine fails the batch and closes.
+  FaultGuard fg("plan:delay:ms=600:p=1", 1);
+  InferenceEngine::Config cfg;
+  cfg.max_batch = 1;
+  cfg.max_wait_us = 0;
+  cfg.plan_mode = 1;
+  cfg.watchdog_timeout_ms = 800;
+  InferenceEngine engine(
+      std::make_shared<SlowTraceModel>(
+          train::make_model("SAU-FNO-micro", 3, 1, /*seed=*/42), 600),
+      cfg);
+  Rng rng(74);
+  EXPECT_NO_THROW(engine.submit(Tensor::randn({3, 10, 10}, rng)).get());
+  EXPECT_EQ(engine.stats().failed, 0);
+  EXPECT_EQ(engine.plan_runner().cache_size(), 1u);
+}
+
+TEST(InferenceEngine, WatchdogTripsOnHungPlanCompile) {
+  // A compile that never finishes is no progress: the watchdog fails the
+  // request long before the 900 ms traced forward returns.
+  InferenceEngine::Config cfg;
+  cfg.max_batch = 1;
+  cfg.max_wait_us = 0;
+  cfg.plan_mode = 1;
+  cfg.watchdog_timeout_ms = 100;
+  InferenceEngine engine(
+      std::make_shared<SlowTraceModel>(
+          train::make_model("SAU-FNO-micro", 3, 1, /*seed=*/42), 900),
+      cfg);
+  Rng rng(75);
+  auto fut = engine.submit(Tensor::randn({3, 10, 10}, rng));
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_THROW(fut.get(), runtime::EngineError);
+  const double waited =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  EXPECT_LT(waited, 0.7) << "future waited for the hung compile";
 }
 
 TEST(InferenceEngine, DestructionWithInFlightFuturesAndOutlivingClients) {

@@ -126,22 +126,6 @@ TEST(PlanKernels, ScaledSoftmaxBitIdenticalToMulScalarSoftmax) {
   expect_bitwise(out, want, "softmax(0.37*a)");
 }
 
-TEST(PlanRunner, CompileOnlyValidatesButInterprets) {
-  auto model = train::make_model("FNO", 3, 1, 9);
-  model->set_training(false);
-  plan::PlanRunner canary(model, plan::Mode::kCompileOnly);
-  plan::PlanRunner interp(model, plan::Mode::kOff);
-  const Shape shape{1, 3, 16, 16};
-  Rng rng = testing::test_rng();
-  Tensor x = Tensor::randn(shape, rng);
-  expect_bitwise(canary.forward(x), interp.forward(x), "compile-only");
-  // compile-only still compiles (that is its job)...
-  EXPECT_EQ(canary.cache_size(), 1u);
-  EXPECT_NE(canary.executor_for(shape), nullptr);
-  // ...while off never touches the tracer.
-  EXPECT_EQ(interp.cache_size(), 0u);
-}
-
 TEST(PlanRunner, CachesOnePlanPerShape) {
   auto model = train::make_model("CNN", 3, 1, 9);
   model->set_training(false);

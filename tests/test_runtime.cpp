@@ -26,7 +26,6 @@ namespace {
 
 using runtime::ThreadPool;
 using runtime::parallel_for;
-using runtime::parallel_invoke;
 using runtime::parallel_sum;
 
 /// RAII thread-count override so a failing assertion cannot leak a resized
@@ -87,7 +86,7 @@ TEST(ParallelFor, NestedCallsCoverEveryIndex) {
 
 TEST(ParallelFor, DepthCapRunsDeepLoopsInlineInChunkOrder) {
   PoolSize guard(4);
-  // Beyond SAUFNO_MAX_NEST (default 4) loops must fall back to the inline
+  // Beyond the depth cap (4 levels) loops must fall back to the inline
   // path; chunk order there is sequential, so the recorded boundaries are
   // exactly [0,2),[2,4),...
   std::vector<std::pair<int64_t, int64_t>> chunks;
@@ -238,15 +237,6 @@ TEST(ParallelFor, ExceptionPropagatesToCaller) {
                      if (b == 37) throw std::runtime_error("chunk failed");
                    }),
       std::runtime_error);
-}
-
-TEST(ParallelInvoke, RunsAllTasks) {
-  PoolSize guard(4);
-  std::atomic<int> ran{0};
-  std::vector<std::function<void()>> fns;
-  for (int i = 0; i < 13; ++i) fns.push_back([&ran] { ++ran; });
-  parallel_invoke(std::move(fns));
-  EXPECT_EQ(ran.load(), 13);
 }
 
 // ---------------------------------------------------------------------------

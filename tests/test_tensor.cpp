@@ -339,19 +339,6 @@ TEST(Gemm, BlockedMatchesSeedKernelOnDenseData) {
   }
 }
 
-TEST(Gemm, ForceSeedReferenceHookRoutesAndRestores) {
-  Rng rng(99);
-  Tensor a = Tensor::randn({4, 3}, rng);
-  Tensor b = Tensor::randn({3, 4}, rng);
-  Tensor c_ref({4, 4}), c_hook({4, 4});
-  gemm_seed_reference(a.data(), b.data(), c_ref.data(), 4, 4, 3, false);
-  gemm_force_seed_reference(true);
-  gemm(a.data(), b.data(), c_hook.data(), 4, 4, 3, false);
-  gemm_force_seed_reference(false);
-  // Routed results must be bitwise the seed kernel's.
-  for (int64_t i = 0; i < 16; ++i) EXPECT_EQ(c_hook.at(i), c_ref.at(i));
-}
-
 TEST(Gemm, EmptyKZeroesOrPreservesC) {
   Tensor a({2, 0}), b({0, 3});
   Tensor c({2, 3}, {1, 2, 3, 4, 5, 6});
