@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "../tests/gemm_seed_reference.h"
 #include "autograd/variable.h"
 #include "common/json_writer.h"
 #include "common/rng.h"

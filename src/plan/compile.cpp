@@ -243,9 +243,10 @@ Plan compile(Plan p) {
 
   // -- Pass 6: liveness + arena packing -------------------------------------
   // Liveness is tracked at LEVEL granularity: a slot is live from its
-  // defining level through the last level that reads it, so two
-  // instructions sharing a level (which may run concurrently) can never be
-  // assigned overlapping bytes.
+  // defining level through the last level that reads it, and slots whose
+  // intervals overlap get disjoint bytes. The executor runs levels in
+  // order, so no instruction overwrites a temp that is still live,
+  // whatever the order inside a level.
   {
     std::vector<int32_t> last(n_slots, 0);
     for (const auto& ins : p.instrs) {

@@ -22,8 +22,8 @@ namespace plan {
 ///     the bit-identity contract survives.
 ///  4. Dead-code elimination of instructions orphaned by 1–3.
 ///  5. Level assignment — instruction dependency depths, grouped into
-///     Plan::levels; instructions sharing a level are independent and may
-///     run concurrently.
+///     Plan::levels, which fix the execution order and the liveness
+///     granularity of pass 6.
 ///  6. Workspace planning — liveness analysis at level granularity, then
 ///     first-fit packing of every temp slot into ONE arena reservation
 ///     (Plan::arena_floats), offsets 16-float aligned.

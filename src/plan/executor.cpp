@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cstring>
-#include <functional>
 #include <string>
 #include <utility>
 
@@ -13,8 +12,6 @@
 #include "common/logging.h"
 #include "obs/kernel_profile.h"
 #include "obs/metrics.h"
-#include "runtime/parallel_for.h"
-#include "runtime/task_group.h"
 #include "tensor/tensor_ops.h"
 
 namespace saufno {
@@ -247,34 +244,10 @@ Tensor PlanExecutor::run(const Tensor& input) {
         input.reshape(p.slots[static_cast<std::size_t>(s)].shape);
   }
 
+  // Level order, not trace order: the arena packer keeps temp slots
+  // disjoint only across overlapping level intervals.
   for (const auto& level : p.levels) {
-    if (level.size() == 1) {
-      exec_instr(p, b->slots, level[0]);
-    } else {
-      // Instructions inside one level are independent by construction and
-      // their temp slots occupy disjoint arena bytes (liveness intervals
-      // both contain this level), so they can run concurrently. Each
-      // instruction is one TaskGroup task; a kernel that parallelizes
-      // internally decomposes its own parallel_for onto the pool too
-      // (intra-op x inter-op), so a level with one heavy op and several
-      // light ones doesn't serialize the heavy op on a single lane. Every
-      // kernel is individually bit-deterministic and writes disjoint slots,
-      // so scheduling order cannot change the output.
-      runtime::TaskGroup g;
-      std::vector<Tensor>* slots = &b->slots;
-      const Plan* plan = plan_.get();
-      for (std::size_t i = 1; i < level.size(); ++i) {
-        const int32_t idx = level[i];
-        g.run([plan, slots, idx] { exec_instr(*plan, *slots, idx); });
-      }
-      // First instruction runs on the calling thread; wait() then helps
-      // with whatever is still queued.
-      {
-        const int32_t idx = level[0];
-        exec_instr(*plan, *slots, idx);
-      }
-      g.wait();
-    }
+    for (const int32_t idx : level) exec_instr(p, b->slots, idx);
   }
 
   Tensor result =

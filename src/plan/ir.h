@@ -87,9 +87,9 @@ struct Slot {
   /// (filled by the workspace-planning pass); -1 until assigned.
   int64_t arena_offset = -1;
   /// Liveness at LEVEL granularity (see Instr::level): [def, last_use].
-  /// Level intervals are what the arena packer keeps disjoint, so two
-  /// instructions running concurrently inside one level can never share
-  /// bytes.
+  /// The arena packer keeps only overlapping level intervals disjoint, so
+  /// the executor must run instructions in level order for a temp's bytes
+  /// to stay live until its last use.
   int32_t def_level = 0;
   int32_t last_use_level = 0;
 };
@@ -105,8 +105,8 @@ struct Instr {
   /// debugging dumps and per-instruction profiling.
   std::string label;
   /// Dependency depth: 1 + max(level of producing instrs of inputs), with
-  /// plan inputs/params/consts at level 0. Instructions sharing a level are
-  /// independent and may run concurrently.
+  /// plan inputs/params/consts at level 0. Levels fix the execution order
+  /// and the granularity of slot liveness.
   int32_t level = 0;
 };
 
@@ -118,6 +118,7 @@ struct Plan {
   Shape in_shape;
   Shape out_shape;
   /// Instruction indices grouped by level, in level order (compiler-built).
+  /// The executor runs them in exactly this order.
   std::vector<std::vector<int32_t>> levels;
   /// Total floats of the single per-plan arena reservation.
   int64_t arena_floats = 0;

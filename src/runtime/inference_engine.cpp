@@ -9,7 +9,7 @@
 #include "nn/serialize.h"
 #include "obs/trace.h"
 #include "runtime/pipeline.h"
-#include "runtime/task_group.h"
+#include "runtime/parallel_for.h"
 #include "runtime/thread_pool.h"
 #include "runtime/workspace.h"
 #include "tensor/tensor_ops.h"
@@ -105,7 +105,6 @@ InferenceEngine::InferenceEngine(std::shared_ptr<nn::Module> model,
   SAUFNO_CHECK(cfg_.plan_mode >= -1 && cfg_.plan_mode <= 1,
                "plan_mode must be -1 (env), 0 (off) or 1 (on)");
   SAUFNO_CHECK(cfg_.queue_capacity >= 0, "queue_capacity must be >= 0");
-  SAUFNO_CHECK(cfg_.shard_capacity >= 0, "shard_capacity must be >= 0");
   SAUFNO_CHECK(cfg_.watchdog_timeout_ms >= 0,
                "watchdog_timeout_ms must be >= 0 (0 disables)");
   model_->set_training(false);
@@ -113,8 +112,7 @@ InferenceEngine::InferenceEngine(std::shared_ptr<nn::Module> model,
                               ? plan::mode_from_env()
                               : static_cast<plan::Mode>(cfg_.plan_mode);
   plan_ = std::make_unique<plan::PlanRunner>(model_, mode);
-  queue_.set_capacity(static_cast<std::size_t>(cfg_.queue_capacity),
-                      static_cast<std::size_t>(cfg_.shard_capacity));
+  queue_.set_capacity(static_cast<std::size_t>(cfg_.queue_capacity));
   batch_ms_ewma_bits_.store(double_bits(1.0), std::memory_order_relaxed);
   SAUFNO_INFO << "engine: plan mode " << plan::mode_name(mode)
               << (cfg_.plan_mode < 0 ? " (SAUFNO_PLAN)" : " (config)")
@@ -233,21 +231,16 @@ std::future<Tensor> InferenceEngine::submit(Tensor power_map,
       return fut;
     case RequestQueue::PushStatus::kShutdown:
       throw ShutdownError("submit() raced with stop()");
-    case RequestQueue::PushStatus::kQueueFull:
-    case RequestQueue::PushStatus::kShardFull: {
+    case RequestQueue::PushStatus::kQueueFull: {
       rejected_.fetch_add(1, std::memory_order_relaxed);
       EngineMetrics& em = engine_metrics();
       em.rejected.add();
       em.shed_bytes.add(bytes);
       const double retry_ms = estimated_retry_after_ms();
       em.retry_after_ms.record(retry_ms);
-      const bool shard = pr.status == RequestQueue::PushStatus::kShardFull;
       throw OverloadedError(
-          "engine overloaded: " +
-              std::string(shard ? "shape shard" : "queue") + " at capacity " +
-              std::to_string(shard && cfg_.shard_capacity > 0
-                                 ? cfg_.shard_capacity
-                                 : cfg_.queue_capacity) +
+          "engine overloaded: queue at capacity " +
+              std::to_string(cfg_.queue_capacity) +
               " (backlog " + std::to_string(pr.depth) +
               "); retry after ~" + std::to_string(retry_ms) + " ms" + who(),
           retry_ms);
@@ -503,20 +496,20 @@ void InferenceEngine::forward_and_deliver(std::vector<InferenceRequest>& batch,
   // its own NoGradGuard. Either way the result is bit-identical and no
   // autograd tape survives the forward.
   //
-  // With batch partitioning the batch is split into contiguous row ranges
-  // and each range runs as its OWN forward on a TaskGroup task (ops inside
-  // a partition still decompose — intra-op x inter-batch). Every kernel is
-  // per-sample independent (pinned by the padded-vs-unpadded and
-  // partitioned-vs-not bitwise tests), so forwarding rows [r0, r1) alone
-  // and concatenating in row order is bit-identical to one whole-batch
-  // forward.
+  // With batch partitioning the batch is split into contiguous row ranges,
+  // each forwarded alone as one chunk of a parallel_for (ops inside a
+  // partition still decompose). Every kernel is per-sample independent
+  // (pinned by the padded-vs-unpadded and partitioned-vs-not bitwise
+  // tests), so forwarding rows [r0, r1) alone and concatenating in row
+  // order is bit-identical to one whole-batch forward.
   const int64_t parts = resolve_partitions(padded);
   const int64_t rows = padded / parts;  // parts divides padded (resolver)
+  const Shape part_shape{rows, in_shape[0], in_shape[1], in_shape[2]};
   // A cold plan compile is a traced forward of its own. Compile the shape
   // the partitions share up front and count its completion as progress, so
   // the watchdog times the compile and the forward apart. A hung compile
   // still trips it.
-  if (plan_->prepare({rows, in_shape[0], in_shape[1], in_shape[2]})) {
+  if (plan_->prepare(part_shape)) {
     busy_since_ns_.store(now_ns(), std::memory_order_release);
   }
   Tensor fwd_out = [&] {
@@ -527,21 +520,11 @@ void InferenceEngine::forward_and_deliver(std::vector<InferenceRequest>& batch,
       v = plan_->forward(stacked);
     } else {
       std::vector<Tensor> outs(static_cast<std::size_t>(parts));
-      {
-        TaskGroup g;
-        for (int64_t pi = 1; pi < parts; ++pi) {
-          g.run([&, pi] {
-            Tensor part = Tensor::wrap_external(
-                stacked.data() + pi * rows * sample,
-                {rows, in_shape[0], in_shape[1], in_shape[2]});
-            outs[static_cast<std::size_t>(pi)] = plan_->forward(part);
-          });
-        }
-        Tensor part0 = Tensor::wrap_external(
-            stacked.data(), {rows, in_shape[0], in_shape[1], in_shape[2]});
-        outs[0] = plan_->forward(part0);
-        g.wait();
-      }
+      parallel_for(0, parts, 1, [&](int64_t pi, int64_t) {
+        outs[static_cast<std::size_t>(pi)] = plan_->forward(
+            Tensor::wrap_external(stacked.data() + pi * rows * sample,
+                                  part_shape));
+      });
       const Shape& ps = outs[0].shape();  // [rows, C_out, H, W]
       SAUFNO_CHECK(ps.size() == 4 && ps[0] == rows,
                    "partitioned forward returned unexpected shape " +

@@ -94,11 +94,11 @@ struct InferenceStats {
 ///   instead of hanging clients forever; a finished plan compile counts as
 ///   progress, so a cold compile and the forward after it are timed apart.
 /// - Batch partitioning: a padded batch is split into contiguous row
-///   partitions run concurrently as TaskGroup tasks, one per pool lane with
-///   at least 2 rows each (the largest such divisor of the batch, so every
-///   partition shares one plan shape). Results are bit-identical
-///   partitioned or not: every kernel is per-sample independent, and
-///   partition outputs are reassembled in row order.
+///   partitions, run concurrently as the chunks of one parallel_for, one
+///   per pool lane with at least 2 rows each (the largest such divisor of
+///   the batch, so every partition shares one plan shape). Results are
+///   bit-identical partitioned or not: every kernel is per-sample
+///   independent, and partition outputs are reassembled in row order.
 class InferenceEngine {
  public:
   struct Config {
@@ -118,13 +118,12 @@ class InferenceEngine {
     /// ones; any shape the tracer cannot plan falls back to the interpreter
     /// automatically.
     int plan_mode = -1;
-    /// Admission control: max queued requests across all shards (0 =
-    /// unbounded) and per shape shard (0 = same as queue_capacity). The
-    /// default bounds the backlog at 1024 requests — deep enough that no
-    /// well-behaved workload notices, shallow enough that overload sheds
-    /// with OverloadedError instead of growing the queue without limit.
+    /// Admission control: max queued requests across all shape shards
+    /// (0 = unbounded). The default bounds the backlog at 1024 requests —
+    /// deep enough that no well-behaved workload notices, shallow enough
+    /// that overload sheds with OverloadedError instead of growing the
+    /// queue without limit.
     int64_t queue_capacity = 1024;
-    int64_t shard_capacity = 0;
     /// Reject non-finite (NaN/Inf) inputs at submit() with RequestError.
     bool validate_finite = true;
     /// Fail pending futures when the batcher makes no progress on one batch

@@ -16,14 +16,14 @@ namespace runtime {
 /// workers plus the calling thread; the call returns once all chunks have
 /// finished. The first exception thrown by `fn` is rethrown on the caller.
 ///
-/// Nested calls (fn itself calling parallel_for, directly or through a
-/// TaskGroup) DECOMPOSE onto the pool like top-level ones, up to 4 levels
-/// deep; deeper loops run their chunks inline, in chunk order. While a loop
-/// waits for chunks in flight on other threads, the waiting thread runs
-/// other queued pool tasks instead of idling, so nesting never strands a
-/// lane and never deadlocks: a chunk is only "in flight" on a thread
-/// actively executing it, so every wait chain bottoms out at a running
-/// leaf.
+/// This is the runtime's only fork-join primitive. Nested calls (fn itself
+/// calling parallel_for) DECOMPOSE onto the pool like top-level ones, up to
+/// 4 levels deep; deeper loops run their chunks inline, in chunk order.
+/// While a loop waits for chunks in flight on other threads, the waiting
+/// thread runs other queued pool tasks instead of idling, so nesting never
+/// strands a lane and never deadlocks: a chunk is only "in flight" on a
+/// thread actively executing it, so every wait chain bottoms out at a
+/// running leaf.
 void parallel_for(int64_t begin, int64_t end, int64_t grain,
                   const std::function<void(int64_t, int64_t)>& fn);
 
@@ -33,10 +33,9 @@ void parallel_for(int64_t begin, int64_t end, int64_t grain,
 double parallel_sum(int64_t n, int64_t grain,
                     const std::function<double(int64_t, int64_t)>& chunk_sum);
 
-/// True while the calling thread is executing a parallel_for chunk or a
-/// TaskGroup task — on every path, including the inline fallbacks (1-lane
-/// pool, single chunk, depth cap), so the answer never depends on the
-/// thread count.
+/// True while the calling thread is executing a parallel_for chunk — on
+/// every path, including the inline fallbacks (1-lane pool, single chunk,
+/// depth cap), so the answer never depends on the thread count.
 bool in_parallel_region();
 
 }  // namespace runtime

@@ -98,14 +98,14 @@ std::string request_desc(const InferenceRequest& req);
 /// `max_wait_us` for stragglers, no matter how long it sat queued behind
 /// other shards.
 ///
-/// Admission control: `set_capacity` bounds the total backlog and each
-/// shard's backlog; an over-capacity push is refused (the caller turns that
+/// Admission control: `set_capacity` bounds the total backlog across all
+/// shards; an over-capacity push is refused (the caller turns that
 /// into an OverloadedError with a retry-after hint). Expired or cancelled
 /// requests are completed with their typed error at dequeue time instead of
 /// occupying batch slots.
 class RequestQueue {
  public:
-  enum class PushStatus { kAccepted, kShutdown, kQueueFull, kShardFull };
+  enum class PushStatus { kAccepted, kShutdown, kQueueFull };
 
   struct PushResult {
     PushStatus status = PushStatus::kAccepted;
@@ -113,10 +113,9 @@ class RequestQueue {
     bool ok() const { return status == PushStatus::kAccepted; }
   };
 
-  /// Bound the queue: at most `total` requests across all shards and
-  /// `per_shard` within one shape shard. 0 means unbounded (the default, and
-  /// `per_shard` 0 falls back to `total`).
-  void set_capacity(std::size_t total, std::size_t per_shard);
+  /// Bound the queue: at most `total` requests across all shards. 0 means
+  /// unbounded (the default).
+  void set_capacity(std::size_t total);
 
   /// Enqueue. Refused pushes (shutdown / over capacity) leave the request's
   /// promise untouched — the caller still owns the failure path, so a
@@ -164,7 +163,6 @@ class RequestQueue {
   Shape last_served_;           // round-robin cursor over shard keys
   std::size_t pending_ = 0;     // total across shards
   std::size_t cap_total_ = 0;   // 0 = unbounded
-  std::size_t cap_shard_ = 0;   // 0 = cap_total_
   bool shutdown_ = false;
   std::atomic<int64_t> expired_{0};    // completed dead at dequeue
   std::atomic<int64_t> cancelled_{0};

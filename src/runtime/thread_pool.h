@@ -51,11 +51,11 @@ class ThreadPool {
   void submit(std::function<void()> task);
 
   /// Run one queued task on the CALLING thread, if any is available; true
-  /// if a task ran. This is the "help" hook for threads blocked in a
-  /// structured wait (parallel_for / TaskGroup): instead of idling while
-  /// their own chunks are in flight elsewhere, they drain unrelated pool
-  /// work. Scans the worker deques FIFO from a rotating start index, so
-  /// concurrent helpers spread across queues instead of contending on one.
+  /// if a task ran. This is the "help" hook for a thread blocked in
+  /// parallel_for's join: instead of idling while its own chunks are in
+  /// flight elsewhere, it drains unrelated pool work. Scans the worker
+  /// deques FIFO from a rotating start index, so concurrent helpers spread
+  /// across queues instead of contending on one.
   bool try_help_one();
 
   /// Tasks currently queued (submitted, not yet started). Scrape-side

@@ -194,32 +194,6 @@ void gemm(const float* a, const float* b, float* c, int64_t m, int64_t n,
   gemm_blocked(a, b, c, m, n, k, accumulate);
 }
 
-void gemm_seed_reference(const float* a, const float* b, float* c, int64_t m,
-                         int64_t n, int64_t k, bool accumulate) {
-  const int64_t row_cost = std::max<int64_t>(1, n * k);
-  const int64_t grain = std::max<int64_t>(1, 32768 / row_cost);
-  runtime::parallel_for(0, m, grain, [&](int64_t r0, int64_t r1) {
-    if (!accumulate) {
-      std::memset(c + r0 * n, 0,
-                  sizeof(float) * static_cast<std::size_t>((r1 - r0) * n));
-    }
-    for (int64_t i = r0; i < r1; ++i) {
-      float* crow = c + i * n;
-      const float* arow = a + i * k;
-      for (int64_t kk = 0; kk < k; ++kk) {
-        const float aik = arow[kk];
-        // The seed's data-dependent zero-skip, preserved verbatim HERE ONLY
-        // so benches/tests can measure against the exact old behavior. It
-        // silently drops NaN/Inf columns of B (0 * NaN must be NaN) — the
-        // bug the serving kernel above fixes.
-        if (aik == 0.f) continue;
-        const float* brow = b + kk * n;
-        for (int64_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
-      }
-    }
-  });
-}
-
 void im2col(const float* img, float* cols, int64_t c, int64_t h, int64_t w,
             int64_t kh, int64_t kw, int64_t stride, int64_t pad) {
   const int64_t oh = conv_out_size(h, kh, stride, pad);

@@ -17,13 +17,6 @@ namespace saufno {
 void gemm(const float* a, const float* b, float* c, int64_t m, int64_t n,
           int64_t k, bool accumulate);
 
-/// The seed repo's scalar i-k-j gemm, preserved verbatim (including its
-/// data-dependent `a[i,k] == 0` skip, which silently drops NaN/Inf columns
-/// of B) as the old-vs-new baseline for bench_kernels and regression tests.
-/// Never used by the serving path.
-void gemm_seed_reference(const float* a, const float* b, float* c, int64_t m,
-                         int64_t n, int64_t k, bool accumulate);
-
 /// im2col for 2-D convolution with square stride-1 semantics generalized to
 /// arbitrary stride/padding. Input is one image [C, H, W]; the column buffer
 /// is [C*kh*kw, out_h*out_w] row-major so that conv = weight-matrix * cols.

@@ -188,7 +188,7 @@ TEST(InferenceEngine, PaddedBatchBitIdenticalToUnpaddedWithNormalizer) {
 TEST(InferenceEngine, PartitionedBatchBitIdenticalToWholeBatchForward) {
   // The engine splits a padded batch of 8 into one row partition per pool
   // lane with >= 2 rows each: pools of 1, 3 and 8 lanes give 1, 2 and 4
-  // partitions, run concurrently as TaskGroup tasks. Per-sample
+  // partitions, the chunks of one parallel_for. Per-sample
   // independence (pinned above) makes every split bit-identical to the
   // whole-batch forward at pool 1.
   auto model = smoke_model();
@@ -651,6 +651,83 @@ TEST(InferenceEngine, PersistentBatchFaultFailsEveryRequestByName) {
   }
   EXPECT_EQ(engine.stats().failed, 4);
   EXPECT_EQ(engine.stats().requests, 0);
+}
+
+// A padded batch of 8 in plan mode: at pool 3 the engine runs it as two
+// 4-row partitions, the two chunks of one parallel_for, so a "plan" fault
+// fires inside one partition.
+std::vector<std::future<Tensor>> submit_partitioned(
+    std::unique_ptr<InferenceEngine>& engine, std::shared_ptr<nn::Module> model,
+    const std::vector<Tensor>& maps) {
+  InferenceEngine::Config cfg;
+  cfg.max_batch = 8;
+  cfg.max_wait_us = 100000;
+  cfg.pad_to_full_batch = true;
+  cfg.plan_mode = 1;  // the "plan" fault site is in the plan executor
+  engine = std::make_unique<InferenceEngine>(std::move(model), cfg);
+  std::vector<std::future<Tensor>> futs;
+  for (const auto& m : maps) futs.push_back(engine->submit(m.clone()));
+  return futs;
+}
+
+TEST(InferenceEngine, FaultInsidePartitionIsRetriedBitIdentical) {
+  auto model = smoke_model();
+  const auto maps = random_maps(8, 12, 70);
+  const int ambient = ThreadPool::instance().num_threads();
+  std::unique_ptr<InferenceEngine> engine;
+
+  ThreadPool::instance().resize(1);
+  std::vector<Tensor> whole;
+  for (auto& f : submit_partitioned(engine, model, maps)) {
+    whole.push_back(f.get());
+  }
+  engine.reset();
+
+  ThreadPool::instance().resize(3);
+  {
+    FaultGuard fg("plan:throw:n=1", 1);
+    auto futs = submit_partitioned(engine, model, maps);
+    for (std::size_t i = 0; i < futs.size(); ++i) {
+      Tensor got;
+      ASSERT_NO_THROW(got = futs[i].get()) << "request " << i;
+      EXPECT_EQ(std::memcmp(got.data(), whole[i].data(),
+                            sizeof(float) *
+                                static_cast<std::size_t>(got.numel())),
+                0)
+          << "retry after a partition fault changed request " << i;
+    }
+    EXPECT_EQ(fault::injected_count("plan"), 1);
+    EXPECT_NE(engine->plan_runner().executor_for({4, 3, 12, 12}), nullptr)
+        << "pool 3 should split the batch of 8 into two partitions";
+    EXPECT_EQ(engine->stats().requests, 8);
+    EXPECT_EQ(engine->stats().failed, 0);
+  }
+  engine.reset();
+  ThreadPool::instance().resize(ambient);
+}
+
+TEST(InferenceEngine, PersistentPartitionFaultFailsEveryRequestByName) {
+  const int ambient = ThreadPool::instance().num_threads();
+  ThreadPool::instance().resize(3);
+  {
+    std::unique_ptr<InferenceEngine> engine;
+    FaultGuard fg("plan:throw", 1);
+    auto futs =
+        submit_partitioned(engine, smoke_model(), random_maps(8, 12, 71));
+    for (std::size_t i = 0; i < futs.size(); ++i) {
+      try {
+        futs[i].get();
+        FAIL() << "request " << i << " resolved despite a persistent fault";
+      } catch (const runtime::RequestError& e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("seq="), std::string::npos) << msg;
+        EXPECT_NE(msg.find("shape=[3, 12, 12]"), std::string::npos) << msg;
+      }
+    }
+    EXPECT_EQ(engine->stats().failed, 8);
+    EXPECT_EQ(engine->stats().requests, 0);
+  }
+  ThreadPool::instance().resize(ambient);
 }
 
 TEST(InferenceEngine, DrainServesBacklogAndFailsStragglersTyped) {

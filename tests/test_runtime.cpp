@@ -14,7 +14,6 @@
 #include "autograd/spectral_ops.h"
 #include "fft/fft.h"
 #include "runtime/request_queue.h"
-#include "runtime/task_group.h"
 #include "runtime/thread_pool.h"
 #include "runtime/workspace.h"
 #include "tensor/kernels.h"
@@ -123,9 +122,6 @@ TEST(ParallelFor, InParallelRegionSemantics) {
     parallel_for(0, 1, 1, [&](int64_t, int64_t) {
       EXPECT_TRUE(runtime::in_parallel_region());
     });
-    runtime::TaskGroup g;
-    g.run([] { EXPECT_TRUE(runtime::in_parallel_region()); });
-    g.wait();
     EXPECT_FALSE(runtime::in_parallel_region());
   }
 }
@@ -160,71 +156,6 @@ TEST(ParallelFor, NestedLoopsAreBitIdenticalAcrossThreadCounts) {
                           sizeof(float) * static_cast<std::size_t>(ref.numel())),
               0)
         << "nested loops differ at " << threads << " threads";
-  }
-  ThreadPool::instance().resize(1);
-}
-
-TEST(TaskGroup, RunsTasksAndIsReusable) {
-  PoolSize guard(4);
-  runtime::TaskGroup g;
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 9; ++i) g.run([&ran] { ++ran; });
-  g.wait();
-  EXPECT_EQ(ran.load(), 9);
-  for (int i = 0; i < 5; ++i) g.run([&ran] { ++ran; });
-  g.wait();
-  EXPECT_EQ(ran.load(), 14);
-}
-
-TEST(TaskGroup, PropagatesFirstExceptionAndRecovers) {
-  PoolSize guard(4);
-  runtime::TaskGroup g;
-  g.run([] { throw std::runtime_error("task failed"); });
-  g.run([] {});
-  EXPECT_THROW(g.wait(), std::runtime_error);
-  // Error state resets: the group is reusable after a failed wait.
-  std::atomic<int> ran{0};
-  g.run([&ran] { ++ran; });
-  EXPECT_NO_THROW(g.wait());
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(TaskGroup, RecursiveGroupsAreBitIdenticalAcrossThreadCounts) {
-  // Fork-join recursion: groups inside tasks inside groups, every leaf
-  // writing one disjoint slot. The plan-executor / batch-partition nesting
-  // shape; must not deadlock and must be exact at every thread count.
-  auto compute = [&] {
-    Tensor out({4 * 4 * 16});
-    float* o = out.data();
-    runtime::TaskGroup outer;
-    for (int64_t a = 0; a < 4; ++a) {
-      outer.run([o, a] {
-        runtime::TaskGroup inner;
-        for (int64_t b = 0; b < 4; ++b) {
-          inner.run([o, a, b] {
-            parallel_for(0, 16, 4, [&](int64_t i0, int64_t i1) {
-              for (int64_t i = i0; i < i1; ++i) {
-                o[(a * 4 + b) * 16 + i] =
-                    static_cast<float>(a * 1000 + b * 100 + i) * 1.5f;
-              }
-            });
-          });
-        }
-        inner.wait();
-      });
-    }
-    outer.wait();
-    return out;
-  };
-  ThreadPool::instance().resize(1);
-  const Tensor ref = compute();
-  for (const int threads : {2, 8}) {
-    ThreadPool::instance().resize(threads);
-    const Tensor got = compute();
-    EXPECT_EQ(std::memcmp(got.data(), ref.data(),
-                          sizeof(float) * static_cast<std::size_t>(ref.numel())),
-              0)
-        << "recursive groups differ at " << threads << " threads";
   }
   ThreadPool::instance().resize(1);
 }
@@ -330,7 +261,7 @@ TEST(RequestQueue, BatchDeadlineAnchorsToEnqueueTime) {
 
 TEST(RequestQueue, TotalCapacityRejectsThenRecovers) {
   runtime::RequestQueue q;
-  q.set_capacity(/*total=*/3, /*per_shard=*/0);
+  q.set_capacity(/*total=*/3);
   const Shape a{3, 10, 10};
   for (int i = 0; i < 3; ++i) ASSERT_TRUE(q.push(make_request(a)).ok());
   auto rejected = q.push(make_request(a));
@@ -344,26 +275,6 @@ TEST(RequestQueue, TotalCapacityRejectsThenRecovers) {
   for (auto& r : batch) r.result->try_value(Tensor::zeros({1}));
   EXPECT_TRUE(q.push(make_request(a)).ok());
   q.pop_batch(1, 0).front().result->try_value(Tensor::zeros({1}));
-}
-
-TEST(RequestQueue, PerShardCapacityIsolatesHotResolution) {
-  runtime::RequestQueue q;
-  q.set_capacity(/*total=*/100, /*per_shard=*/2);
-  const Shape hot{3, 10, 10}, cold{3, 14, 14};
-  ASSERT_TRUE(q.push(make_request(hot)).ok());
-  ASSERT_TRUE(q.push(make_request(hot)).ok());
-  auto full = q.push(make_request(hot));
-  EXPECT_EQ(full.status, runtime::RequestQueue::PushStatus::kShardFull);
-  // The hot shard being full must not block other resolutions.
-  EXPECT_TRUE(q.push(make_request(cold)).ok());
-  EXPECT_EQ(q.shard_count(), 2u);
-  std::size_t drained = 0;
-  while (q.size() > 0) {
-    auto batch = q.pop_batch(8, 0);
-    drained += batch.size();
-    for (auto& r : batch) r.result->try_value(Tensor::zeros({1}));
-  }
-  EXPECT_EQ(drained, 3u);
 }
 
 TEST(RequestQueue, ReapsExpiredAndCancelledHeadsAtDequeue) {

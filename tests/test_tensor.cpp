@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "gemm_seed_reference.h"
 #include "tensor/kernels.h"
 #include "tensor/tensor_ops.h"
 
