@@ -3,6 +3,11 @@
 // matrix shapes the zoo models actually hit at serving scale (B=8, C=32,
 // 64x64 grids), plus the end-to-end SAU-FNO forward rate.
 //
+// The attention_block row times the fused row-blocked attention kernel
+// (attention_into) against the composed chain it replaced (bmm -> scaled
+// softmax -> permute -> bmm over [B,N,N] buffers) at the sweep shape, and
+// memcmps the two outputs; a mismatch exits nonzero in every mode.
+//
 // Also times the compiled-execution-plan forward (plan::PlanRunner) against
 // the define-by-run interpreter on the same weights and input: the two are
 // bit-identical by construction, so the delta is pure dispatch/fusion/arena
@@ -16,6 +21,7 @@
 // either perf regression fails CI instead of just flattening a graph.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -34,6 +40,7 @@
 #include "tensor/kernels.h"
 #include "tensor/simd.h"
 #include "tensor/tensor.h"
+#include "tensor/tensor_ops.h"
 #include "train/model_zoo.h"
 
 namespace saufno {
@@ -105,6 +112,50 @@ Entry bench_shape(const std::string& name, int64_t m, int64_t n, int64_t k,
               static_cast<long long>(n), static_cast<long long>(k),
               e.gflops_seed, e.gflops_new, e.speedup);
   return e;
+}
+
+struct AttentionBench {
+  int64_t batch = 0, n = 0, c = 0;
+  double ms_composed = 0.0;
+  double ms_fused = 0.0;
+  bool bitwise_equal = false;
+};
+
+/// Fused attention_into against the composed chain at [batch, n, c] with
+/// d = c (SAU-FNO's attention embedding width).
+AttentionBench bench_attention(bool smoke) {
+  AttentionBench r;
+  r.batch = smoke ? 2 : 8;
+  r.n = smoke ? 200 : 4096;
+  r.c = 32;
+  const int64_t d = r.c;
+  const float scale = 1.f / std::sqrt(static_cast<float>(d));
+  Rng rng(17);
+  Tensor q = Tensor::randn({r.batch, r.n, d}, rng);
+  Tensor k = Tensor::randn({r.batch, d, r.n}, rng);
+  Tensor v = Tensor::randn({r.batch, r.c, r.n}, rng);
+  Tensor fused({r.batch, r.c, r.n});
+  Tensor composed;
+  const int iters = smoke ? 4 : 1;  // best of 3 either way
+  r.ms_composed = 1e3 * time_per_call(iters, [&] {
+    Tensor s = bmm(q, k);
+    scaled_softmax_lastdim_into(s, scale, s);
+    composed = bmm(v, permute(s, {0, 2, 1}));
+  });
+  r.ms_fused = 1e3 * time_per_call(iters, [&] {
+    attention_into(q, k, v, scale, fused);
+  });
+  r.bitwise_equal =
+      std::memcmp(fused.data(), composed.data(),
+                  sizeof(float) * static_cast<std::size_t>(fused.numel())) ==
+      0;
+  std::printf("\nattention_block [%lld, %lld, %lld]: composed %.1f ms -> "
+              "fused %.1f ms  %.2fx  (%s)\n",
+              static_cast<long long>(r.batch), static_cast<long long>(r.n),
+              static_cast<long long>(r.c), r.ms_composed, r.ms_fused,
+              r.ms_composed / r.ms_fused,
+              r.bitwise_equal ? "bit-identical" : "OUTPUTS DIFFER");
+  return r;
 }
 
 /// End-to-end SAU-FNO forward (conv + attention + pointwise + spectral
@@ -200,7 +251,8 @@ PlanBench bench_plan(bool smoke) {
 }
 
 void write_json(const char* path, bool smoke, double ref_speedup,
-                double fwd_per_sec, const PlanBench& plan) {
+                double fwd_per_sec, const PlanBench& plan,
+                const AttentionBench& attn) {
   JsonWriter w;
   w.begin_object();
   w.field("bench", "bench_kernels");
@@ -217,6 +269,17 @@ void write_json(const char* path, bool smoke, double ref_speedup,
   w.field("plan_instr_count", plan.instr_count);
   w.field("plan_fused_kernels", plan.fused_kernels);
   w.field("plan_folded_ops", plan.folded_ops);
+  w.key("attention_block");
+  w.begin_object();
+  w.field("threads", runtime::ThreadPool::instance().num_threads());
+  w.field("batch", attn.batch);
+  w.field("n", attn.n);
+  w.field("c", attn.c);
+  w.field("ms_composed", attn.ms_composed, 4);
+  w.field("ms_fused", attn.ms_fused, 4);
+  w.field("speedup", attn.ms_composed / attn.ms_fused, 4);
+  w.field("bitwise_equal", attn.bitwise_equal);
+  w.end_object();
   w.key("results");
   w.begin_array();
   for (const auto& e : g_entries) {
@@ -270,12 +333,18 @@ int main(int argc, char** argv) {
     bench_shape("conv_grad_weight", 32, 288, 4096, 20);
   }
 
+  const AttentionBench attn = bench_attention(smoke);
   const double fwd_per_sec = bench_end_to_end(smoke);
   const PlanBench plan = bench_plan(smoke);
 
-  write_json("BENCH_kernels.json", smoke, ref.speedup, fwd_per_sec, plan);
+  write_json("BENCH_kernels.json", smoke, ref.speedup, fwd_per_sec, plan,
+             attn);
 
   int rc = 0;
+  if (!attn.bitwise_equal) {
+    std::printf("FAIL: fused attention differs from the composed chain\n");
+    rc = 1;
+  }
   if (smoke && ref.speedup < 1.0) {
     std::printf("FAIL: blocked gemm slower than the seed kernel at the "
                 "reference shape (%.2fx)\n", ref.speedup);

@@ -461,6 +461,44 @@ Var softmax_lastdim(const Var& a) {
                     Var::from_op(std::move(out), node));
 }
 
+Var attention(const Var& q, const Var& k, const Var& v, float scale) {
+  tr::Attrs attrs;
+  attrs.fval = scale;
+  const Shape& qs = q.shape();
+  const Shape& vs = v.shape();
+  SAUFNO_CHECK(qs.size() == 3 && vs.size() == 3,
+               "attention requires 3-D q and v");
+  Tensor out({qs[0], vs[1], qs[1]});
+  attention_into(q.value(), k.value(), v.value(), scale, out);
+  if (!any_requires_grad({q, k, v})) {
+    return tr::record(OpCode::kAttention, {&q, &k, &v}, Var(std::move(out)),
+                      attrs);
+  }
+  auto node = make_node("attention", {q, k, v});
+  auto iq = q.impl(), ik = k.impl(), iv = v.impl();
+  node->backward = [iq, ik, iv, scale](const Tensor& g) {
+    // Recompute A = softmax(q k * scale) [B,N,N], then the adjoints of
+    // out = bmm(v, A^T), the softmax and the scores bmm, in the composed
+    // chain's own order.
+    const Tensor& Q = iq->value;
+    const Tensor& K = ik->value;
+    const Tensor& V = iv->value;
+    Tensor a = saufno::bmm(Q, K);
+    scaled_softmax_lastdim_into(a, scale, a);
+    accumulate_grad(iv, saufno::bmm(g, a));
+    // dL/dA[i,j] = sum_c g[c,i] v[c,j].
+    Tensor ga = saufno::bmm(saufno::permute(g, {0, 2, 1}), V);
+    // Softmax adjoint a * (ga - rowsum(ga * a)), then the scale.
+    Tensor row_sum = saufno::sum_dim(saufno::mul(ga, a), -1, /*keepdim=*/true);
+    Tensor gs = saufno::mul_scalar(saufno::mul(a, saufno::sub(ga, row_sum)),
+                                   scale);
+    accumulate_grad(iq, saufno::bmm(gs, saufno::permute(K, {0, 2, 1})));
+    accumulate_grad(ik, saufno::bmm(saufno::permute(Q, {0, 2, 1}), gs));
+  };
+  return tr::record(OpCode::kAttention, {&q, &k, &v},
+                    Var::from_op(std::move(out), node), attrs);
+}
+
 Var resize_bilinear(const Var& a, int64_t oh, int64_t ow) {
   tr::Attrs attrs;
   attrs.ivals = {oh, ow};

@@ -52,6 +52,12 @@ Var sum_dim(const Var& a, int64_t dim, bool keepdim);
 // Softmax along the last dimension (fused, numerically stable).
 Var softmax_lastdim(const Var& a);
 
+/// Fused attention: v [B,C,N] times softmax_lastdim(q [B,N,d] k [B,d,N] *
+/// scale) transposed -> [B,C,N]. Forward values are bit-identical to
+/// bmm(v, permute(softmax_lastdim(mul_scalar(bmm(q, k), scale)), {0,2,1}))
+/// without materializing the [B,N,N] scores; the backward recomputes them.
+Var attention(const Var& q, const Var& k, const Var& v, float scale);
+
 // Bilinear resize of the trailing two dims (align_corners=true).
 Var resize_bilinear(const Var& a, int64_t oh, int64_t ow);
 

@@ -34,16 +34,14 @@ Var SelfAttentionBlock::forward(const Var& x) {
 
   Var qn = ops::permute(ops::reshape(q, {B, d_, N}), {0, 2, 1});  // [B, N, d]
   Var kn = ops::reshape(k, {B, d_, N});                           // [B, d, N]
-  // s_ij = <Q_i, K_j> / sqrt(d)  — scaling keeps the softmax out of
-  // saturation, standard since Vaswani et al. [30].
-  Var scores =
-      ops::mul_scalar(ops::bmm(qn, kn),
-                      1.f / std::sqrt(static_cast<float>(d_)));  // [B, N, N]
-  Var a_s = ops::softmax_lastdim(scores);
-
-  Var vn = ops::reshape(v, {B, channels_, N});  // [B, C, N]
-  // V'_i = sum_j A_s[i,j] A_c[:,j]  ->  V' = A_c * A_s^T  ([B, C, N]).
-  Var out = ops::bmm(vn, ops::permute(a_s, {0, 2, 1}));
+  Var vn = ops::reshape(v, {B, channels_, N});                    // [B, C, N]
+  // s_ij = <Q_i, K_j> / sqrt(d) — scaling keeps the softmax out of
+  // saturation, standard since Vaswani et al. [30] — then
+  // V'_i = sum_j A_s[i,j] A_c[:,j], i.e. V' = A_c * A_s^T ([B, C, N]).
+  // The fused op runs in query-row blocks, so the [B, N, N] A_s never
+  // exists as a tensor.
+  Var out = ops::attention(qn, kn, vn,
+                           1.f / std::sqrt(static_cast<float>(d_)));
   out = ops::reshape(out, {B, channels_, H, W});
   // Residual connection so the block can no-op early in training.
   return ops::add(x, wo_->forward(out));

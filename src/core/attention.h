@@ -21,6 +21,10 @@ namespace core {
 /// (A_s is NxN, A_c is CxN); the standard non-local-block reading above is
 /// the faithful executable interpretation — each position aggregates the
 /// value map with its spatial attention weights (see DESIGN.md).
+///
+/// The scores, softmax and combination run as one ops::attention call,
+/// row-blocked over query positions: no [B, N, N] tensor is materialized in
+/// the forward, in the interpreter or in a compiled plan (kAttention).
 class SelfAttentionBlock : public nn::Module {
  public:
   /// `channels`: feature channels of V_t; `d`: Q/K embedding dimension

@@ -174,21 +174,6 @@ Plan compile(Plan p) {
           dead[oi] = true;
           p.fused_ops += 1;
         }
-      } else if (o.op == OpCode::kSoftmax) {
-        const int32_t pi = fusable_producer(o.in[0]);
-        if (pi < 0) continue;
-        Instr& pr = p.instrs[static_cast<std::size_t>(pi)];
-        if (pr.op != OpCode::kMulScalar) continue;
-        Instr fused;
-        fused.op = OpCode::kScaledSoftmax;
-        fused.fval = pr.fval;
-        fused.in = {pr.in[0]};
-        fused.out = o.out;
-        fused.label = o.label;
-        dead[static_cast<std::size_t>(pi)] = true;
-        uses[static_cast<std::size_t>(pr.out)] = 0;
-        p.instrs[oi] = std::move(fused);
-        p.fused_ops += 1;
       }
     }
   }

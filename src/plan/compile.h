@@ -16,9 +16,10 @@ namespace plan {
 ///  2. Reshape aliasing — kReshape instructions become zero-cost slot
 ///     aliases (same storage, new shape).
 ///  3. Fusion peephole — act(add) and act(add(add)) collapse into
-///     kFusedAddAct (bias+activation in one sweep), an activation following
-///     a kConv2d folds into the conv's epilogue, and softmax(mul_scalar)
-///     becomes kScaledSoftmax. Only float-exact fusions are performed, so
+///     kFusedAddAct (bias+activation in one sweep), and an activation
+///     following a kConv2d folds into the conv's epilogue. Attention needs
+///     no pass: its scores, softmax and combination are traced as one
+///     kAttention instruction. Only float-exact fusions are performed, so
 ///     the bit-identity contract survives.
 ///  4. Dead-code elimination of instructions orphaned by 1–3.
 ///  5. Level assignment — instruction dependency depths, grouped into

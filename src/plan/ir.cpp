@@ -36,6 +36,7 @@ const char* op_name(OpCode op) {
     case OpCode::kMaxPool2d: return "maxpool2d";
     case OpCode::kSpectralConv2d: return "spectral_conv2d";
     case OpCode::kSpectralConv3d: return "spectral_conv3d";
+    case OpCode::kAttention: return "attention";
     case OpCode::kFusedAddAct: return "fused_add_act";
     case OpCode::kScaledSoftmax: return "scaled_softmax";
     case OpCode::kCount: break;

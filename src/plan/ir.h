@@ -56,10 +56,16 @@ enum class OpCode : std::uint8_t {
   kMaxPool2d,       // ivals = {kernel}
   kSpectralConv2d,  // ivals = {m1, m2, cout}; in = {x, w}
   kSpectralConv3d,  // ivals = {m1, m2, m3, cout}; in = {x, w}
+  kAttention,       // in = {q [B,N,d], k [B,d,N], v [B,C,N]}, fval = scale;
+                    // out [B,C,N] = v softmax_lastdim(q k * scale)^T,
+                    // row-blocked (no [N,N] slot)
   // Compiler-synthesized fusions (never emitted by the tracer).
   kFusedAddAct,     // out = act(in0 + in1 [+ in2]); 2-input form may
                     // broadcast (bias), 3-input form requires equal shapes
-  kScaledSoftmax,   // out = softmax_lastdim(in * fval)
+  kScaledSoftmax,   // out = softmax_lastdim(in * fval). Nothing emits it
+                    // and no kernel runs it since kAttention took the
+                    // attention softmax; kept while the perfbench ledger
+                    // names it
   kCount
 };
 
@@ -97,7 +103,7 @@ struct Slot {
 struct Instr {
   OpCode op = OpCode::kCount;
   Act act = Act::kNone;  // fused activation (kConv2d, kFusedAddAct)
-  float fval = 0.f;      // scalar operand (kAddScalar, kMulScalar, kScaledSoftmax)
+  float fval = 0.f;      // scalar operand (kAddScalar, kMulScalar, kAttention)
   std::vector<int32_t> in;
   int32_t out = -1;
   std::vector<int64_t> ivals;  // op-specific attrs, see OpCode comments

@@ -117,8 +117,8 @@ std::vector<InferenceRequest> RequestQueue::pop_batch(std::size_t max_batch,
     // one hot resolution cannot starve the others.
     auto it = shards_.upper_bound(last_served_);
     if (it == shards_.end()) it = shards_.begin();
-    // push() never leaves an empty shard behind and pop_batch erases drained
-    // ones, so every map entry is non-empty here.
+    // A shard may be empty here only if fail_pending emptied it; the
+    // dead-shard path below erases it like a shard of dead requests.
     std::deque<InferenceRequest>& shard = it->second;
     reap_front(shard);
     if (shard.empty()) {
@@ -197,10 +197,13 @@ std::size_t RequestQueue::fail_pending(std::exception_ptr error) {
   std::vector<InferenceRequest> doomed;
   {
     std::lock_guard<std::mutex> lk(m_);
+    // Empty the shards but keep their map nodes: a pop_batch waiting for
+    // stragglers holds a reference to its shard with the lock released,
+    // and pop_batch erases empty shards itself.
     for (auto& kv : shards_) {
       for (auto& req : kv.second) doomed.push_back(std::move(req));
+      kv.second.clear();
     }
-    shards_.clear();
     queue_metrics().depth.add(-static_cast<int64_t>(pending_));
     pending_ = 0;
   }
@@ -218,7 +221,9 @@ std::size_t RequestQueue::size() const {
 
 std::size_t RequestQueue::shard_count() const {
   std::lock_guard<std::mutex> lk(m_);
-  return shards_.size();
+  std::size_t live = 0;
+  for (const auto& kv : shards_) live += kv.second.empty() ? 0 : 1;
+  return live;
 }
 
 }  // namespace runtime

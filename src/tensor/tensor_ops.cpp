@@ -4,7 +4,9 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "obs/kernel_profile.h"
 #include "runtime/parallel_for.h"
+#include "runtime/workspace.h"
 #include "tensor/kernels.h"
 #include "tensor/simd.h"
 
@@ -651,10 +653,28 @@ Tensor bmm(const Tensor& a, const Tensor& b) {
 
 namespace {
 
-/// Shared softmax core: `scale != 1` first materializes row * scale into
-/// the output row with the exact mul_scalar expression, then the standard
-/// max/exp/sum/scale sequence runs on the output row — so the fused scaled
-/// form is bit-identical to mul_scalar followed by softmax.
+/// One softmax row: `scale != 1` first materializes row * scale into `orow`
+/// with the exact mul_scalar expression, then the standard max/exp/sum/scale
+/// sequence runs on `orow` — so the scaled form is bit-identical to
+/// mul_scalar followed by softmax. `row` may equal `orow` (in place).
+void softmax_row(const float* row, float* orow, int64_t n, bool scaled,
+                 float scale) {
+  if (scaled) {
+    SAUFNO_IVDEP
+    for (int64_t i = 0; i < n; ++i) orow[i] = row[i] * scale;
+    row = orow;
+  }
+  // Max, exp, and rescale run through the SIMD helpers (max is
+  // associative, exp and scale are per-element, so lane order cannot
+  // change the result). The sum stays a scalar double accumulated in row
+  // order — that order is part of the determinism contract.
+  const float mx = simd::reduce_max(row, n);
+  simd::vexp(row, mx, orow, n);
+  double s = 0.0;
+  for (int64_t i = 0; i < n; ++i) s += orow[i];
+  simd::scale(orow, n, static_cast<float>(1.0 / s));
+}
+
 void softmax_rows_into(const Tensor& a, bool scaled, float scale,
                        Tensor& out) {
   const int64_t rank = a.dim();
@@ -668,26 +688,15 @@ void softmax_rows_into(const Tensor& a, bool scaled, float scale,
   const int64_t grain =
       std::max<int64_t>(1, kElemwiseGrain / std::max<int64_t>(1, n));
   runtime::parallel_for(0, rows, grain, [&](int64_t r0, int64_t r1) {
-  for (int64_t r = r0; r < r1; ++r) {
-    const float* row = p + r * n;
-    float* orow = q + r * n;
-    if (scaled) {
-      SAUFNO_IVDEP
-      for (int64_t i = 0; i < n; ++i) orow[i] = row[i] * scale;
-      row = orow;
+    for (int64_t r = r0; r < r1; ++r) {
+      softmax_row(p + r * n, q + r * n, n, scaled, scale);
     }
-    // Max, exp, and rescale run through the SIMD helpers (max is
-    // associative, exp and scale are per-element, so lane order cannot
-    // change the result). The sum stays a scalar double accumulated in row
-    // order — that order is part of the determinism contract.
-    const float mx = simd::reduce_max(row, n);
-    simd::vexp(row, mx, orow, n);
-    double s = 0.0;
-    for (int64_t i = 0; i < n; ++i) s += orow[i];
-    simd::scale(orow, n, static_cast<float>(1.0 / s));
-  }
   });
 }
+
+/// Query rows per attention block: the [kAttnRows, N] scores block is the
+/// only N-sized temporary (1 MB per lane at N = 4096).
+constexpr int64_t kAttnRows = 64;
 
 }  // namespace
 
@@ -697,6 +706,67 @@ void softmax_lastdim_into(const Tensor& a, Tensor& out) {
 
 void scaled_softmax_lastdim_into(const Tensor& a, float scale, Tensor& out) {
   softmax_rows_into(a, /*scaled=*/true, scale, out);
+}
+
+void attention_into(const Tensor& q, const Tensor& k, const Tensor& v,
+                    float scale, Tensor& out) {
+  SAUFNO_CHECK(q.dim() == 3 && k.dim() == 3 && v.dim() == 3,
+               "attention requires 3-D q, k, v");
+  const int64_t batch = q.shape()[0], n = q.shape()[1], d = q.shape()[2];
+  const int64_t c = v.shape()[1];
+  SAUFNO_CHECK(k.shape() == (Shape{batch, d, n}) && v.shape()[0] == batch &&
+                   v.shape()[2] == n,
+               "attention shape mismatch: q " + shape_str(q.shape()) +
+                   ", k " + shape_str(k.shape()) + ", v " +
+                   shape_str(v.shape()));
+  SAUFNO_CHECK(out.numel() == batch * c * n,
+               "attention destination numel mismatch");
+  static obs::Histogram& prof_hist = obs::histogram("kernel.attention_us");
+  obs::KernelTimer prof_timer(prof_hist, "kernel.attention");
+  if (batch == 0 || n == 0 || c == 0) return;
+
+  // V^T [batch, n, c], built once: the mix gemm below then reads it as its
+  // B operand, so each output element keeps the k (= key) order of
+  // bmm(v, permute(softmax, {0, 2, 1})).
+  runtime::Scratch<float> vt(static_cast<std::size_t>(batch * n * c));
+  const float* pv = v.data();
+  float* pvt = vt.data();
+  const int64_t grain =
+      std::max<int64_t>(1, kElemwiseGrain / std::max<int64_t>(1, c));
+  runtime::parallel_for(0, batch * n, grain, [&](int64_t r0, int64_t r1) {
+    for (int64_t r = r0; r < r1; ++r) {
+      const float* src = pv + (r / n) * c * n + r % n;
+      for (int64_t j = 0; j < c; ++j) pvt[r * c + j] = src[j * n];
+    }
+  });
+
+  // One chunk per (batch, query block). Each step is the composed chain's
+  // own kernel on a row subset — gemm never reorders the per-element k sum
+  // and the softmax is per row — so the result is bit-identical to
+  // bmm -> scaled softmax -> permute -> bmm for every block size and thread
+  // count, with an O(kAttnRows * n) scores block instead of [batch, n, n].
+  const int64_t blocks = (n + kAttnRows - 1) / kAttnRows;
+  runtime::parallel_for(0, batch * blocks, 1, [&](int64_t t0, int64_t t1) {
+    runtime::Scratch<float> scores(static_cast<std::size_t>(kAttnRows * n));
+    runtime::Scratch<float> tile(static_cast<std::size_t>(kAttnRows * c));
+    for (int64_t t = t0; t < t1; ++t) {
+      const int64_t b = t / blocks;
+      const int64_t i0 = (t % blocks) * kAttnRows;
+      const int64_t rows = std::min(kAttnRows, n - i0);
+      gemm(q.data() + (b * n + i0) * d, k.data() + b * d * n, scores.data(),
+           rows, n, d, /*accumulate=*/false);
+      for (int64_t r = 0; r < rows; ++r) {
+        float* row = scores.data() + r * n;
+        softmax_row(row, row, n, /*scaled=*/true, scale);
+      }
+      gemm(scores.data(), vt.data() + b * n * c, tile.data(), rows, c, n,
+           /*accumulate=*/false);
+      float* ob = out.data() + b * c * n + i0;
+      for (int64_t r = 0; r < rows; ++r) {
+        for (int64_t j = 0; j < c; ++j) ob[j * n + r] = tile.data()[r * c + j];
+      }
+    }
+  });
 }
 
 Tensor softmax_lastdim(const Tensor& a) {

@@ -134,4 +134,13 @@ void fused_add_act_into(const Tensor& a, const Tensor& b, const Tensor* c,
 /// followed by softmax.
 void scaled_softmax_lastdim_into(const Tensor& a, float scale, Tensor& out);
 
+/// Fused self-attention: out[b] = v[b] * softmax_lastdim(q[b] k[b] * scale)^T
+/// for q [B,N,d], k [B,d,N], v [B,C,N], out [B,C,N]. Runs row-blocked over
+/// fixed 64-query blocks, so no [N,N] tensor exists, and each step is the
+/// composed chain's own kernel (gemm, the scaled-softmax row sequence) on a
+/// row subset — bit-identical to bmm -> scaled_softmax_lastdim -> permute ->
+/// bmm for every SAUFNO_NUM_THREADS.
+void attention_into(const Tensor& q, const Tensor& k, const Tensor& v,
+                    float scale, Tensor& out);
+
 }  // namespace saufno

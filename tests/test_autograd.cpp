@@ -315,21 +315,68 @@ TEST(GradCheck, Permute4d) {
       {a});
 }
 
+// The composed chain ops::attention replaces: bmm -> scaled softmax ->
+// bmm with a permuted key, as core::SelfAttentionBlock computed it before
+// the fused op. q [B,N,d], kt [B,N,d], vt [B,N,C] -> [B,N,C].
+Var composed_attention(const Var& q, const Var& kt, const Var& vt,
+                       float scale) {
+  Var scores = ops::bmm(q, ops::permute(kt, {0, 2, 1}));
+  Var attn = ops::softmax_lastdim(ops::mul_scalar(scores, scale));
+  return ops::bmm(attn, vt);
+}
+
+// The same map through ops::attention, which takes k as [B,d,N] and v as
+// [B,C,N] and returns [B,C,N].
+Var fused_attention(const Var& q, const Var& kt, const Var& vt, float scale) {
+  return ops::attention(q, ops::permute(kt, {0, 2, 1}),
+                        ops::permute(vt, {0, 2, 1}), scale);
+}
+
 TEST(GradCheck, AttentionComposition) {
-  // bmm -> softmax -> bmm with a permuted key, the exact op chain inside
-  // core::Attention. Checks the INTERACTION of the three backward rules,
-  // which the per-op checks above cannot.
+  // Checks the INTERACTION of the bmm, softmax and scale backward rules,
+  // which the per-op checks above cannot: once through the composed chain
+  // and once through the fused op's own backward.
   Rng rng(28);
   Var q = leaf({2, 3, 4}, rng);
   Var k = leaf({2, 3, 4}, rng);
   Var v = leaf({2, 3, 4}, rng);
   expect_gradients_match(
       [](std::vector<Var>& ls) {
-        Var scores = ops::bmm(ls[0], ops::permute(ls[1], {0, 2, 1}));
-        Var attn = ops::softmax_lastdim(ops::mul_scalar(scores, 0.5f));
-        return ops::sum_all(ops::square(ops::bmm(attn, ls[2])));
+        return ops::sum_all(
+            ops::square(composed_attention(ls[0], ls[1], ls[2], 0.5f)));
       },
       {q, k, v}, /*eps=*/1e-2f, /*rtol=*/3e-2f, /*atol=*/3e-3f);
+  expect_gradients_match(
+      [](std::vector<Var>& ls) {
+        return ops::sum_all(
+            ops::square(fused_attention(ls[0], ls[1], ls[2], 0.5f)));
+      },
+      {q, k, v}, /*eps=*/1e-2f, /*rtol=*/3e-2f, /*atol=*/3e-3f);
+}
+
+TEST(GradCheck, FusedAttentionGradientsMatchComposedChain) {
+  // q/k/v gradients of ops::attention against the composed chain, at a
+  // size with several softmax columns and a non-square d x C.
+  Rng rng(29);
+  const Shape qs{2, 11, 3}, vs{2, 11, 5};
+  const Tensor q0 = Tensor::randn(qs, rng), k0 = Tensor::randn(qs, rng),
+               v0 = Tensor::randn(vs, rng);
+  const Tensor w = Tensor::randn({2, 5, 11}, rng);  // loss weights
+  auto grads = [&](bool fused) {
+    Var q(q0.clone(), true), k(k0.clone(), true), v(v0.clone(), true);
+    Var out = fused ? fused_attention(q, k, v, 0.4f)
+                    : ops::permute(composed_attention(q, k, v, 0.4f),
+                                   {0, 2, 1});
+    ops::sum_all(ops::mul(out, Var(w, false))).backward();
+    return std::vector<Tensor>{q.grad(), k.grad(), v.grad()};
+  };
+  const std::vector<Tensor> want = grads(false);
+  const std::vector<Tensor> got = grads(true);
+  const char* names[] = {"q", "k", "v"};
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    testing::expect_allclose(got[i], want[i], /*rtol=*/1e-5f, /*atol=*/1e-7f,
+                             names[i]);
+  }
 }
 
 TEST(GradCheck, ResizeBilinear) {

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "plan/runner.h"
 #include "plan/trace.h"
 #include "runtime/inference_engine.h"
+#include "runtime/thread_pool.h"
 #include "runtime/workspace.h"
 #include "tensor/tensor_ops.h"
 #include "testing.h"
@@ -69,7 +71,7 @@ TEST(PlanVsInterp, AllZooModelsBitIdenticalOnPow2AndNonPow2) {
   }
 }
 
-TEST(PlanCompile, FusesBiasActAndScaledSoftmaxInSauFno) {
+TEST(PlanCompile, FusesBiasActInSauFno) {
   auto model = train::make_model("SAU-FNO-micro", 3, 1, 7);
   model->set_training(false);
   plan::PlanRunner runner(model, plan::Mode::kOn);
@@ -78,11 +80,42 @@ TEST(PlanCompile, FusesBiasActAndScaledSoftmaxInSauFno) {
   runner.forward(Tensor::randn(shape, rng));
   auto exec = runner.executor_for(shape);
   ASSERT_NE(exec, nullptr);
-  // gelu(K(v) + W(v)) in every Fourier layer and softmax(scores / sqrt(d))
-  // in the attention block both fuse.
+  // gelu(K(v) + W(v)) in every Fourier layer fuses into kFusedAddAct. The
+  // attention softmax never reaches the plan: it runs inside kAttention.
   EXPECT_GT(exec->plan().fused_ops, 0);
   EXPECT_GT(exec->plan().arena_floats, 0);
   EXPECT_FALSE(plan::to_string(exec->plan()).empty());
+}
+
+TEST(PlanCompile, SauFnoAttentionHasNoQuadraticTemp) {
+  // At 64x64 the [B, N, N] scores would be 2 * 4096^2 floats. The fused
+  // kAttention instruction keeps them out of the plan: no temp slot reaches
+  // N^2 floats and no bmm/softmax runs under the attention label.
+  auto model = train::make_model("SAU-FNO-micro", 3, 1, 7);
+  model->set_training(false);
+  plan::PlanRunner runner(model, plan::Mode::kOn);
+  const Shape shape{2, 3, 64, 64};
+  const int64_t n = 64 * 64;
+  Rng rng = testing::test_rng();
+  runner.forward(Tensor::randn(shape, rng));
+  auto exec = runner.executor_for(shape);
+  ASSERT_NE(exec, nullptr);
+  const plan::Plan& p = exec->plan();
+  for (const plan::Slot& s : p.slots) {
+    if (s.kind != plan::SlotKind::kTemp) continue;
+    EXPECT_LT(numel_of(s.shape), n * n) << shape_str(s.shape);
+  }
+  int attention_instrs = 0;
+  for (const plan::Instr& ins : p.instrs) {
+    if (ins.label.find("attention") == std::string::npos) continue;
+    EXPECT_TRUE(ins.op != plan::OpCode::kBmm &&
+                ins.op != plan::OpCode::kSoftmax &&
+                ins.op != plan::OpCode::kScaledSoftmax)
+        << plan::op_name(ins.op) << " at " << ins.label;
+    if (ins.op == plan::OpCode::kAttention) ++attention_instrs;
+  }
+  EXPECT_GT(attention_instrs, 0);
+  EXPECT_GT(p.fused_ops, 0);
 }
 
 TEST(PlanCompile, FoldsConstantTrunkInDeepOHeat) {
@@ -124,6 +157,64 @@ TEST(PlanKernels, ScaledSoftmaxBitIdenticalToMulScalarSoftmax) {
   Tensor out({2, 5, 7});
   scaled_softmax_lastdim_into(a, 0.37f, out);
   expect_bitwise(out, want, "softmax(0.37*a)");
+}
+
+// The chain kAttention replaces, one kernel per step.
+Tensor composed_attention(const Tensor& q, const Tensor& k, const Tensor& v,
+                          float scale) {
+  Tensor scores = bmm(q, k);
+  Tensor a(scores.shape());
+  scaled_softmax_lastdim_into(scores, scale, a);
+  return bmm(v, permute(a, {0, 2, 1}));
+}
+
+TEST(PlanKernels, AttentionBitIdenticalToComposition) {
+  // Query blocks are 64 rows: N = 1 and 7 are one partial block, 64 exactly
+  // one, 65 a full block plus a 1-row tail, 200 a non-dividing multiple.
+  auto& pool = runtime::ThreadPool::instance();
+  const int restore = pool.num_threads();
+  const int64_t d = 5, c = 6;
+  const float scale = 0.37f;
+  for (const int threads : {1, 2, 8}) {
+    pool.resize(threads);
+    for (const int64_t n : {1, 7, 64, 65, 200}) {
+      for (const int64_t b : {1, 3}) {
+        const std::string what = std::to_string(threads) + " threads, B=" +
+                                 std::to_string(b) + ", N=" +
+                                 std::to_string(n);
+        Rng rng(static_cast<std::uint64_t>(100 * n + b));
+        Tensor q = Tensor::randn({b, n, d}, rng);
+        Tensor k = Tensor::randn({b, d, n}, rng);
+        Tensor v = Tensor::randn({b, c, n}, rng);
+        Tensor out({b, c, n});
+        attention_into(q, k, v, scale, out);
+        expect_bitwise(out, composed_attention(q, k, v, scale), what);
+      }
+    }
+    // A NaN in one key column of batch item 1 reaches every score row of
+    // that item and no other: the fused kernel must turn exactly the
+    // outputs the composition turns (memcmp compares the NaN bits too).
+    const int64_t b = 3, n = 65;
+    Rng rng(7);
+    Tensor q = Tensor::randn({b, n, d}, rng);
+    Tensor k = Tensor::randn({b, d, n}, rng);
+    Tensor v = Tensor::randn({b, c, n}, rng);
+    Tensor clean({b, c, n});
+    attention_into(q, k, v, scale, clean);
+    k.data()[(1 * d + 2) * n + 40] = std::numeric_limits<float>::quiet_NaN();
+    Tensor out({b, c, n});
+    attention_into(q, k, v, scale, out);
+    expect_bitwise(out, composed_attention(q, k, v, scale),
+                   "NaN key, " + std::to_string(threads) + " threads");
+    const std::size_t item = sizeof(float) * static_cast<std::size_t>(c * n);
+    for (int64_t i = 0; i < b; ++i) {
+      const bool same =
+          std::memcmp(out.data() + i * c * n, clean.data() + i * c * n,
+                      item) == 0;
+      EXPECT_EQ(same, i != 1) << "batch item " << i;
+    }
+  }
+  pool.resize(restore);
 }
 
 TEST(PlanRunner, CachesOnePlanPerShape) {

@@ -324,6 +324,37 @@ TEST(RequestQueue, FailPendingResolvesEveryWaiterWithTheGivenError) {
   }
 }
 
+TEST(RequestQueue, FailPendingWhileBatcherWaitsForStragglers) {
+  // pop_batch waits for stragglers with the lock released while holding a
+  // reference to its shard. fail_pending (drain timeout, watchdog trip) in
+  // that window must not free the shard. If it did, the next shard
+  // allocated (here: another shape's) could reuse its memory, and the
+  // waiting batch would take a request of the wrong shape.
+  runtime::RequestQueue q;
+  const Shape shape{3, 10, 10}, other{3, 14, 14};
+  ASSERT_TRUE(q.push(make_request(shape)).ok());
+  std::vector<runtime::InferenceRequest> batch;
+  std::thread batcher([&] {
+    batch = q.pop_batch(2, /*max_wait_us=*/10'000'000);
+  });
+  // size() takes the queue lock, so it reads 0 only once the batcher has
+  // popped the head and released the lock to wait for a straggler.
+  while (q.size() != 0) std::this_thread::yield();
+  EXPECT_EQ(q.fail_pending(std::make_exception_ptr(
+                runtime::ShutdownError("drain timeout"))),
+            0u);
+  ASSERT_TRUE(q.push(make_request(other)).ok());
+  ASSERT_TRUE(q.push(make_request(shape)).ok());
+  batcher.join();
+  ASSERT_EQ(batch.size(), 2u);
+  for (const auto& req : batch) EXPECT_EQ(req.input.shape(), shape);
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.shard_count(), 1u);
+  auto rest = q.pop_batch(2, /*max_wait_us=*/0);
+  ASSERT_EQ(rest.size(), 1u);
+  EXPECT_EQ(rest.front().input.shape(), other);
+}
+
 TEST(RuntimeDeterminism, Gemm) {
   Rng rng(11);
   const Tensor a = Tensor::randn({37, 53}, rng);
