@@ -526,12 +526,6 @@ Var mse_loss(const Var& pred, const Var& target) {
   return mean_all(square(sub(pred, target)));
 }
 
-Var l1_loss(const Var& pred, const Var& target) {
-  SAUFNO_CHECK(pred.shape() == target.shape(),
-               "l1_loss shape mismatch");
-  return mean_all(abs(sub(pred, target)));
-}
-
 Var relative_l2_loss(const Var& pred, const Var& target) {
   SAUFNO_CHECK(pred.shape() == target.shape(),
                "relative_l2_loss shape mismatch: " +

@@ -64,8 +64,6 @@ Var resize_bilinear(const Var& a, int64_t oh, int64_t ow);
 // Losses.
 /// Mean squared error over all elements — Eq. (12) of the paper.
 Var mse_loss(const Var& pred, const Var& target);
-/// Mean absolute error over all elements.
-Var l1_loss(const Var& pred, const Var& target);
 /// Relative L2 loss ||pred - target|| / ||target|| — the loss the original
 /// FNO line of work trains with; exposed so users can swap it in for the
 /// paper's plain MSE (Trainer uses MSE to match the paper).

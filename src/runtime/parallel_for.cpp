@@ -7,12 +7,40 @@
 #include <memory>
 #include <mutex>
 
-#include "runtime/task_depth.h"
 #include "runtime/thread_pool.h"
 
 namespace saufno {
 namespace runtime {
 namespace {
+
+/// Nesting depth of task execution on the calling thread: 0 at top level,
+/// d+1 while running a chunk of a loop called at depth d. A worker picking
+/// a chunk off the pool inherits the CALLER's depth (carried in the loop),
+/// not its own history, so depth is a property of the lexical task tree —
+/// identical for every thread count, which keeps decomposition decisions
+/// scheduling-independent.
+int& task_depth_ref() {
+  thread_local int depth = 0;
+  return depth;
+}
+
+/// Depth cap for decomposition: loops nested deeper than this run their
+/// chunks inline (same chunk boundaries, chunk order). Three levels cover
+/// the deepest real seam — a gemm's row blocks inside a bmm's batch loop
+/// inside an engine batch partition — and the fourth leaves one spare
+/// before fan-out overhead outweighs the win on leaf kernels.
+constexpr int kMaxTaskDepth = 4;
+
+/// RAII depth override around a chunk body.
+struct DepthScope {
+  int prev;
+  explicit DepthScope(int depth) : prev(task_depth_ref()) {
+    task_depth_ref() = depth;
+  }
+  ~DepthScope() { task_depth_ref() = prev; }
+  DepthScope(const DepthScope&) = delete;
+  DepthScope& operator=(const DepthScope&) = delete;
+};
 
 /// Shared state of one parallel_for call. Kept alive by shared_ptr because a
 /// worker may wake after the caller has already collected all chunks and
@@ -33,7 +61,7 @@ struct LoopState {
   std::condition_variable cv;
 
   void run_chunks() {
-    detail::DepthScope scope(chunk_depth);
+    DepthScope scope(chunk_depth);
     for (;;) {
       const int64_t c = next.fetch_add(1, std::memory_order_relaxed);
       if (c >= n_chunks) break;
@@ -55,18 +83,10 @@ struct LoopState {
   }
 };
 
-/// Wait for every chunk of `st` to finish. While chunks are in flight on
-/// other threads, this thread helps by running other queued pool tasks
-/// (bounded depth, so a chain of helped tasks that themselves wait cannot
-/// grow the stack without limit) before falling back to a cv sleep.
-void wait_all(LoopState& st, ThreadPool& pool) {
-  if (detail::help_depth_ref() < 4) {
-    ++detail::help_depth_ref();
-    while (st.done.load(std::memory_order_acquire) < st.n_chunks) {
-      if (!pool.try_help_one()) break;
-    }
-    --detail::help_depth_ref();
-  }
+/// Wait for every chunk of `st` to finish. The caller has already run
+/// run_chunks() to exhaustion, so every chunk left is running on another
+/// thread; parallel_for.h explains why this wait cannot deadlock.
+void wait_all(LoopState& st) {
   std::unique_lock<std::mutex> lk(st.m);
   st.cv.wait(lk, [&] {
     return st.done.load(std::memory_order_acquire) == st.n_chunks;
@@ -74,8 +94,6 @@ void wait_all(LoopState& st, ThreadPool& pool) {
 }
 
 }  // namespace
-
-bool in_parallel_region() { return detail::task_depth_ref() > 0; }
 
 void parallel_for(int64_t begin, int64_t end, int64_t grain,
                   const std::function<void(int64_t, int64_t)>& fn) {
@@ -85,14 +103,13 @@ void parallel_for(int64_t begin, int64_t end, int64_t grain,
   const int64_t n_chunks = (n + grain - 1) / grain;
 
   ThreadPool& pool = ThreadPool::instance();
-  const int depth = detail::task_depth_ref();
-  if (pool.num_threads() <= 1 || n_chunks <= 1 ||
-      depth >= detail::kMaxTaskDepth) {
+  const int depth = task_depth_ref();
+  if (pool.num_threads() <= 1 || n_chunks <= 1 || depth >= kMaxTaskDepth) {
     // Inline path runs the SAME chunking in chunk order so reductions built
     // on per-chunk partials match the decomposed path bit-for-bit. The
-    // depth still advances: in_parallel_region() and nested decomposition
-    // decisions see the same task tree whatever path was taken.
-    detail::DepthScope scope(depth + 1);
+    // depth still advances, so nested decomposition decisions see the same
+    // task tree whatever path was taken.
+    DepthScope scope(depth + 1);
     for (int64_t c = 0; c < n_chunks; ++c) {
       const int64_t b = begin + c * grain;
       fn(b, std::min(end, b + grain));
@@ -115,7 +132,7 @@ void parallel_for(int64_t begin, int64_t end, int64_t grain,
   }
   state->run_chunks();
 
-  wait_all(*state, pool);
+  wait_all(*state);
   if (state->has_error.load()) std::rethrow_exception(state->eptr);
 }
 

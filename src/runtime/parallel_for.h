@@ -19,11 +19,11 @@ namespace runtime {
 /// This is the runtime's only fork-join primitive. Nested calls (fn itself
 /// calling parallel_for) DECOMPOSE onto the pool like top-level ones, up to
 /// 4 levels deep; deeper loops run their chunks inline, in chunk order.
-/// While a loop waits for chunks in flight on other threads, the waiting
-/// thread runs other queued pool tasks instead of idling, so nesting never
-/// strands a lane and never deadlocks: a chunk is only "in flight" on a
-/// thread actively executing it, so every wait chain bottoms out at a
-/// running leaf.
+/// The caller claims chunks until none is left, then the join just waits.
+/// It cannot deadlock: only a thread that is running a chunk can claim it,
+/// so every wait is for chunks that are running, and a running chunk can
+/// only wait on a strictly more deeply nested loop. Every chain of waits
+/// therefore ends at a chunk that is making progress.
 void parallel_for(int64_t begin, int64_t end, int64_t grain,
                   const std::function<void(int64_t, int64_t)>& fn);
 
@@ -32,11 +32,6 @@ void parallel_for(int64_t begin, int64_t end, int64_t grain,
 /// order, so the result is identical for every thread count.
 double parallel_sum(int64_t n, int64_t grain,
                     const std::function<double(int64_t, int64_t)>& chunk_sum);
-
-/// True while the calling thread is executing a parallel_for chunk — on
-/// every path, including the inline fallbacks (1-lane pool, single chunk,
-/// depth cap), so the answer never depends on the thread count.
-bool in_parallel_region();
 
 }  // namespace runtime
 }  // namespace saufno

@@ -32,7 +32,6 @@ struct PoolMetrics {
   obs::Counter& submitted = obs::counter("pool.tasks_submitted");
   obs::Counter& inline_runs = obs::counter("pool.tasks_inline");
   obs::Counter& steals = obs::counter("pool.tasks_stolen");
-  obs::Counter& helped = obs::counter("pool.tasks_helped");
   obs::Counter& idle_us = obs::counter("pool.worker_idle_us");
   obs::Counter& busy_us = obs::counter("pool.worker_busy_us");
 };
@@ -125,30 +124,6 @@ void ThreadPool::submit(std::function<void()> task) {
     task_count_.fetch_add(1, std::memory_order_release);
   }
   wake_cv_.notify_one();
-}
-
-bool ThreadPool::try_help_one() {
-  if (workers_.empty() ||
-      task_count_.load(std::memory_order_acquire) <= 0) {
-    return false;
-  }
-  std::function<void()> task;
-  const std::size_t n = workers_.size();
-  const std::size_t start = static_cast<std::size_t>(
-      next_help_.fetch_add(1, std::memory_order_relaxed));
-  for (std::size_t k = 0; k < n && !task; ++k) {
-    Worker& w = *workers_[(start + k) % n];
-    std::lock_guard<std::mutex> lk(w.m);
-    if (!w.q.empty()) {
-      task = std::move(w.q.front());
-      w.q.pop_front();
-    }
-  }
-  if (!task) return false;
-  task_count_.fetch_sub(1, std::memory_order_acq_rel);
-  pool_metrics().helped.add();
-  task();
-  return true;
 }
 
 bool ThreadPool::run_one(std::size_t id) {

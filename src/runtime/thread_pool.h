@@ -24,10 +24,11 @@ namespace runtime {
 ///
 /// Scheduling: `submit` pushes onto per-worker deques round-robin; a worker
 /// drains its own deque LIFO (cache-warm) and, when empty, steals FIFO from
-/// its siblings before sleeping. The pool never reorders the *results* of
-/// the kernels built on top of it: `parallel_for` chunk boundaries depend
-/// only on the grain (see parallel_for.h), so every thread count produces
-/// bit-identical tensors.
+/// its siblings before sleeping. Only workers run queued tasks: a thread
+/// waiting in a `parallel_for` join just waits. The pool never reorders the
+/// *results* of the kernels built on top of it: `parallel_for` chunk
+/// boundaries depend only on the grain (see parallel_for.h), so every
+/// thread count produces bit-identical tensors.
 class ThreadPool {
  public:
   /// The singleton; constructed (and its workers started) on first call.
@@ -49,14 +50,6 @@ class ThreadPool {
   /// Enqueue a task for asynchronous execution. With no workers (pool size
   /// 1) the task runs inline on the calling thread.
   void submit(std::function<void()> task);
-
-  /// Run one queued task on the CALLING thread, if any is available; true
-  /// if a task ran. This is the "help" hook for a thread blocked in
-  /// parallel_for's join: instead of idling while its own chunks are in
-  /// flight elsewhere, it drains unrelated pool work. Scans the worker
-  /// deques FIFO from a rotating start index, so concurrent helpers spread
-  /// across queues instead of contending on one.
-  bool try_help_one();
 
   /// Tasks currently queued (submitted, not yet started). Scrape-side
   /// accessor for the `pool.queue_depth` callback gauge.
@@ -81,7 +74,6 @@ class ThreadPool {
   std::vector<std::thread> threads_;
   int n_threads_ = 1;
   std::atomic<std::uint64_t> next_queue_{0};
-  std::atomic<std::uint64_t> next_help_{0};
   std::atomic<std::int64_t> task_count_{0};
   std::atomic<bool> stop_{false};
   std::mutex wake_m_;

@@ -212,24 +212,10 @@ std::size_t Fleet::drain_all(std::chrono::milliseconds timeout) {
   return failed;
 }
 
-bool Fleet::is_registered(const std::string& name) const {
-  std::lock_guard<std::mutex> lk(m_);
-  return entries_.count(name) != 0;
-}
-
 bool Fleet::is_loaded(const std::string& name) const {
   std::lock_guard<std::mutex> lk(m_);
   auto it = entries_.find(name);
   return it != entries_.end() && it->second.engine != nullptr;
-}
-
-std::vector<std::string> Fleet::loaded_names() const {
-  std::lock_guard<std::mutex> lk(m_);
-  std::vector<std::string> names;
-  for (const auto& kv : entries_) {
-    if (kv.second.engine != nullptr) names.push_back(kv.first);
-  }
-  return names;
 }
 
 std::size_t Fleet::loaded_count() const {

@@ -82,9 +82,7 @@ class Fleet {
   /// acquire() throws ShutdownError. Returns requests failed by the drains.
   std::size_t drain_all(std::chrono::milliseconds timeout);
 
-  bool is_registered(const std::string& name) const;
   bool is_loaded(const std::string& name) const;
-  std::vector<std::string> loaded_names() const;
   std::size_t loaded_count() const;
   int64_t loads() const { return loads_; }
   int64_t evictions() const { return evictions_; }

@@ -174,8 +174,11 @@ inline float exp_poly_portable(float x) {
 
 #if SAUFNO_X86_DISPATCH
 __attribute__((target("avx2,fma"))) inline __m256 exp_poly_avx2(__m256 x) {
-  x = _mm256_min_ps(x, _mm256_set1_ps(kExpHi));
-  x = _mm256_max_ps(x, _mm256_set1_ps(kExpLo));
+  // The bound goes first: minps/maxps return the SECOND operand when either
+  // is NaN, so a NaN input stays NaN (as on the portable path) and finite
+  // inputs clamp to the same bits.
+  x = _mm256_min_ps(_mm256_set1_ps(kExpHi), x);
+  x = _mm256_max_ps(_mm256_set1_ps(kExpLo), x);
   const __m256 n = _mm256_round_ps(
       _mm256_mul_ps(x, _mm256_set1_ps(kExpLog2e)),
       _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
@@ -204,8 +207,8 @@ __attribute__((target("avx2,fma"))) inline __m256 exp_poly_avx2(__m256 x) {
 __attribute__((target("avx2,fma"))) inline float exp_poly_fma_scalar(
     float xs) {
   __m128 x = _mm_set_ss(xs);
-  x = _mm_min_ss(x, _mm_set_ss(kExpHi));
-  x = _mm_max_ss(x, _mm_set_ss(kExpLo));
+  x = _mm_min_ss(_mm_set_ss(kExpHi), x);  // bound first: NaN propagates
+  x = _mm_max_ss(_mm_set_ss(kExpLo), x);
   const __m128 n = _mm_round_ss(
       x, _mm_mul_ss(x, _mm_set_ss(kExpLog2e)),
       _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);

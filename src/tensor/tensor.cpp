@@ -138,13 +138,6 @@ Tensor Tensor::rand_uniform(Shape shape, Rng& rng, float lo, float hi) {
   return t;
 }
 
-Tensor Tensor::arange(int64_t n) {
-  Tensor t({n});
-  float* p = t.data();
-  for (int64_t i = 0; i < n; ++i) p[i] = static_cast<float>(i);
-  return t;
-}
-
 int64_t Tensor::size(int64_t i) const {
   const int64_t d = dim();
   if (i < 0) i += d;

@@ -60,8 +60,6 @@ class Tensor {
   /// Uniform entries in [lo, hi).
   static Tensor rand_uniform(Shape shape, Rng& rng, float lo = 0.f,
                              float hi = 1.f);
-  /// 1-D ramp [0, 1, ..., n-1] (useful for coordinate channels).
-  static Tensor arange(int64_t n);
 
   bool defined() const { return storage_ != nullptr; }
   const Shape& shape() const { return shape_; }

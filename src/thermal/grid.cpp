@@ -16,13 +16,6 @@ int z_cells_for(const chip::LayerSpec& layer) {
 
 }  // namespace
 
-int ThermalGrid::z_begin_of_layer(int layer) const {
-  for (int iz = 0; iz < nz; ++iz) {
-    if (layer_of_z[static_cast<std::size_t>(iz)] == layer) return iz;
-  }
-  return -1;
-}
-
 double ThermalGrid::total_power() const {
   double p = 0.0;
   const double cell_area = dx * dy;

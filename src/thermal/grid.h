@@ -28,8 +28,6 @@ struct ThermalGrid {
   int64_t cell(int iz, int iy, int ix) const {
     return (static_cast<int64_t>(iz) * ny + iy) * nx + ix;
   }
-  /// First z-cell index of a chip layer (-1 if the layer has none).
-  int z_begin_of_layer(int layer) const;
 
   /// Total injected power, integral of q over the volume (W). Used by the
   /// energy-conservation tests.

@@ -7,6 +7,7 @@
 // plan-arena Reservation plumbing.
 
 #include <atomic>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -193,7 +194,8 @@ TEST(PlanKernels, AttentionBitIdenticalToComposition) {
     }
     // A NaN in one key column of batch item 1 reaches every score row of
     // that item and no other: the fused kernel must turn exactly the
-    // outputs the composition turns (memcmp compares the NaN bits too).
+    // outputs the composition turns (memcmp compares the NaN bits too),
+    // and every output of the poisoned item must be non-finite.
     const int64_t b = 3, n = 65;
     Rng rng(7);
     Tensor q = Tensor::randn({b, n, d}, rng);
@@ -212,6 +214,9 @@ TEST(PlanKernels, AttentionBitIdenticalToComposition) {
           std::memcmp(out.data() + i * c * n, clean.data() + i * c * n,
                       item) == 0;
       EXPECT_EQ(same, i != 1) << "batch item " << i;
+    }
+    for (int64_t j = 0; j < c * n; ++j) {
+      ASSERT_FALSE(std::isfinite(out.data()[c * n + j])) << "item 1, " << j;
     }
   }
   pool.resize(restore);

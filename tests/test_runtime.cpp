@@ -71,11 +71,9 @@ TEST(ParallelFor, NestedCallsCoverEveryIndex) {
   std::atomic<int> total{0};
   parallel_for(0, 8, 1, [&](int64_t b, int64_t e) {
     for (int64_t i = b; i < e; ++i) {
-      EXPECT_TRUE(runtime::in_parallel_region());
       // Nested loops decompose onto the pool (they no longer serialize);
       // coverage must still be exact.
       parallel_for(0, 10, 1, [&](int64_t nb, int64_t ne) {
-        EXPECT_TRUE(runtime::in_parallel_region());
         total += static_cast<int>(ne - nb);
       });
     }
@@ -93,10 +91,8 @@ TEST(ParallelFor, DepthCapRunsDeepLoopsInlineInChunkOrder) {
     parallel_for(0, 1, 1, [&](int64_t, int64_t) {
       parallel_for(0, 1, 1, [&](int64_t, int64_t) {
         parallel_for(0, 1, 1, [&](int64_t, int64_t) {
-          EXPECT_TRUE(runtime::in_parallel_region());
           // Depth 5 > cap: runs inline on this thread, in order.
           parallel_for(0, 8, 2, [&](int64_t b, int64_t e) {
-            EXPECT_TRUE(runtime::in_parallel_region());
             chunks.emplace_back(b, e);
           });
         });
@@ -107,22 +103,6 @@ TEST(ParallelFor, DepthCapRunsDeepLoopsInlineInChunkOrder) {
   for (std::size_t c = 0; c < 4; ++c) {
     EXPECT_EQ(chunks[c].first, static_cast<int64_t>(2 * c));
     EXPECT_EQ(chunks[c].second, static_cast<int64_t>(2 * c + 2));
-  }
-}
-
-TEST(ParallelFor, InParallelRegionSemantics) {
-  for (const int threads : {1, 4}) {
-    PoolSize guard(threads);
-    EXPECT_FALSE(runtime::in_parallel_region());
-    // True inside a chunk on EVERY path: multi-chunk, single-chunk (inline
-    // fallback), and nested — never dependent on the thread count.
-    parallel_for(0, 8, 1, [&](int64_t, int64_t) {
-      EXPECT_TRUE(runtime::in_parallel_region());
-    });
-    parallel_for(0, 1, 1, [&](int64_t, int64_t) {
-      EXPECT_TRUE(runtime::in_parallel_region());
-    });
-    EXPECT_FALSE(runtime::in_parallel_region());
   }
 }
 
@@ -189,6 +169,38 @@ void expect_bitwise_stable(Fn compute) {
         << "result differs at " << threads << " threads";
   }
   ThreadPool::instance().resize(1);
+}
+
+TEST(ParallelFor, ConcurrentNestedCallersComplete) {
+  // Four application threads each run an outer loop of nested inner loops
+  // at once, so joins wait while other callers' chunks fill the queues. A
+  // join that only waits must still make progress (a hang fails through
+  // the ctest TIMEOUT), and each caller's slice must match pool 1.
+  constexpr int64_t kCallers = 4, kOuter = 24, kInner = 512;
+  Rng rng(43);
+  const Tensor src = Tensor::randn({kOuter * kInner}, rng);
+  expect_bitwise_stable([&] {
+    Tensor out({kCallers, kOuter * kInner});
+    std::vector<std::thread> callers;
+    for (int64_t c = 0; c < kCallers; ++c) {
+      callers.emplace_back([&, c] {
+        const float* in = src.data();
+        float* o = out.data() + c * kOuter * kInner;
+        const float scale = 1.0f + 0.25f * static_cast<float>(c);
+        parallel_for(0, kOuter, 1, [&](int64_t b0, int64_t b1) {
+          for (int64_t b = b0; b < b1; ++b) {
+            parallel_for(0, kInner, 16, [&](int64_t i0, int64_t i1) {
+              for (int64_t i = b * kInner + i0; i < b * kInner + i1; ++i) {
+                o[i] = scale * in[i] * in[i] - in[i];
+              }
+            });
+          }
+        });
+      });
+    }
+    for (auto& t : callers) t.join();
+    return out;
+  });
 }
 
 runtime::InferenceRequest make_request(const Shape& shape) {

@@ -7,6 +7,7 @@
 
 #include "gemm_seed_reference.h"
 #include "tensor/kernels.h"
+#include "tensor/simd.h"
 #include "tensor/tensor_ops.h"
 
 namespace saufno {
@@ -241,6 +242,30 @@ TEST(Softmax, RowsSumToOneAndStable) {
   }
   EXPECT_NEAR(s.at(0), 1.f / 3.f, 1e-5f);
   EXPECT_NEAR(s.at(5), 1.f, 1e-5f);
+}
+
+TEST(Softmax, NanPropagatesAtDetectedSimdLevel) {
+  // Runs at whatever level simd::level() picked, so on an AVX2 host this
+  // covers the 8-wide sweep, its 1-lane tail and the single-element exp.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_TRUE(std::isnan(simd::exp1(nan)));
+  float in[11], out[11];
+  for (int i = 0; i < 11; ++i) in[i] = 0.1f * static_cast<float>(i);
+  in[3] = nan;   // a lane of the vector body
+  in[10] = nan;  // the scalar tail
+  simd::vexp(in, 0.f, out, 11);
+  for (int i = 0; i < 11; ++i) {
+    EXPECT_EQ(std::isnan(out[i]), i == 3 || i == 10) << "lane " << i;
+  }
+  // One NaN score poisons its whole softmax row and no other row.
+  Tensor a({2, 13});
+  for (int64_t i = 0; i < a.numel(); ++i) a.at(i) = 0.05f * static_cast<float>(i);
+  a.at(5) = nan;
+  Tensor s = softmax_lastdim(a);
+  for (int64_t j = 0; j < 13; ++j) {
+    EXPECT_TRUE(std::isnan(s.at(j))) << "row 0, col " << j;
+    EXPECT_TRUE(std::isfinite(s.at(13 + j))) << "row 1, col " << j;
+  }
 }
 
 TEST(Resize, IdentityWhenSameSize) {
