@@ -173,7 +173,9 @@ double bench_end_to_end(bool smoke) {
 
   NoGradGuard no_grad;
   auto forward = [&] { (void)model->forward(Var(x)); };
-  forward();  // warm FFT plans + arena so the loop times steady state
+  // Warm FFT plans and the per-thread workspace freelists of every thread
+  // the forward runs on, so the loop times steady state.
+  forward();
 
   const double sec = time_per_call(iters, forward);
   std::printf("\nend-to-end forward (B=%lld, %lldx%lld): %.2f ms  "
@@ -214,7 +216,9 @@ PlanBench bench_plan(bool smoke) {
   plan::PlanRunner interp(model, plan::Mode::kOff);
   plan::PlanRunner planned(model, plan::Mode::kOn);
 
-  (void)interp.forward(x);  // warm FFT plans + arena freelists
+  // Warm FFT plans and the per-thread workspace freelists; the plan's own
+  // workspace is one Reservation, allocated by its first call.
+  (void)interp.forward(x);
   Timer t;
   (void)planned.forward(x);  // first call traces + compiles + runs
   const double first_call = t.seconds();

@@ -23,6 +23,7 @@
 #include "fft/fft.h"
 #include "fft/plan.h"
 #include "obs/export.h"
+#include "obs/metrics.h"
 #include "runtime/thread_pool.h"
 #include "runtime/workspace.h"
 #include "tensor/tensor.h"
@@ -281,7 +282,11 @@ void write_json(const char* path, bool smoke, double speedup2d,
   w.field("mode", smoke ? "smoke" : "full");
   w.field("speedup_spectral_conv2d", speedup2d, 4);
   w.field("speedup_spectral_conv3d", speedup3d, 4);
-  w.field("arena_hit_rate", runtime::arena_stats().hit_rate(), 4);
+  const double hits = static_cast<double>(obs::counter("arena.hits").value());
+  const double misses =
+      static_cast<double>(obs::counter("arena.misses").value());
+  w.field("arena_hit_rate",
+          hits + misses > 0 ? hits / (hits + misses) : 0.0, 4);
   w.key("results");
   w.begin_array();
   for (const auto& e : g_entries) {

@@ -192,8 +192,7 @@ Var spectral_conv3d(const Var& x, const Var& w, int64_t m1, int64_t m2,
 
   const int64_t cvol = D * H * wk;  // compact half-spectrum volume
 
-  // Arena-backed like the 2-D op: irfft_3d writes every element.
-  Tensor out = Tensor::scratch({B, cout, D, H, W});
+  Tensor out({B, cout, D, H, W});
   fwd::spectral_conv3d_into(x.value(), w.value(), m1, m2, m3, cout, out);
 
   if (!any_requires_grad({x, w})) {
@@ -262,7 +261,7 @@ Var spectral_conv3d(const Var& x, const Var& w, int64_t m1, int64_t m2,
                      planebuf.data());
       }
     });
-    Tensor gx = Tensor::scratch({B, cin, D, H, W});
+    Tensor gx({B, cin, D, H, W});
     irfft_3d(zc.data(), gx.data(), B * cin, D, H, W, wk, mhe + 1, 1.f);
     accumulate_grad(ix, gx);
     accumulate_grad(iw, gw);

@@ -51,8 +51,8 @@ void spectral_conv3d_into(const Tensor& x, const Tensor& w, int64_t m1,
 ///
 /// Like the 2-D op, all transforms run on compact [D, H, m3e] Hermitian
 /// half-spectra with the depth pass pruned to the kept H-frequencies, the
-/// real-part-of-inverse folded into a k3=0 symmetrization, and scratch
-/// served by the workspace arena.
+/// real-part-of-inverse folded into a k3=0 symmetrization, and transform
+/// buffers served by the workspace arena.
 Var spectral_conv3d(const Var& x, const Var& w, int64_t m1, int64_t m2,
                     int64_t m3, int64_t cout);
 

@@ -177,10 +177,7 @@ Var spectral_conv2d(const Var& x, const Var& w, int64_t m1, int64_t m2,
 
   const int64_t cs = H * wk;  // compact half-spectrum plane size
 
-  // Output and input-gradient tensors are arena scratch: every element is
-  // written by the inverse transform, and steady-state training/serving
-  // then runs the whole spectral path without touching the heap.
-  Tensor out = Tensor::scratch({B, cout, H, W});
+  Tensor out({B, cout, H, W});
   fwd::spectral_conv2d_into(x.value(), w.value(), m1, m2, cout, out);
 
   if (!any_requires_grad({x, w})) {
@@ -253,7 +250,7 @@ Var spectral_conv2d(const Var& x, const Var& w, int64_t m1, int64_t m2,
         herm_prep(zc.data() + p * cs, H, wk, mm.rows, colbuf.data());
       }
     });
-    Tensor gx = Tensor::scratch({B, cin, H, W});
+    Tensor gx({B, cin, H, W});
     irfft_2d(zc.data(), gx.data(), B * cin, H, W, wk, 1.f);
     accumulate_grad(ix, gx);
     accumulate_grad(iw, gw);

@@ -58,8 +58,8 @@ void spectral_conv2d_into(const Tensor& x, const Tensor& w, int64_t m1,
 /// (non-Hermitian) weighted spectrum is algebraically folded into a column-0
 /// symmetrization plus halving of the remaining kept columns, which makes
 /// the truncated inverse exactly equal to the seed's
-/// Re(full-complex-IFFT2). Scratch comes from the workspace arena, so
-/// steady-state forwards allocate nothing.
+/// Re(full-complex-IFFT2). Spectra and transform buffers come from the
+/// workspace arena, so steady-state forwards allocate only the output.
 ///
 /// Mesh invariance: when H (or W) is too small for the configured modes the
 /// kept set is clamped to m1_eff = min(m1, H/2), m2_eff = min(m2, W/2); the

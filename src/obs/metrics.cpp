@@ -10,7 +10,6 @@
 
 #include "common/env.h"
 #include "fft/plan.h"
-#include "runtime/workspace.h"
 
 namespace saufno {
 namespace obs {
@@ -159,39 +158,17 @@ struct Registry::Impl {
 };
 
 Registry::Registry() : impl_(new Impl()) {
-  // Built-in callback gauges: subsystems that keep their own internal
-  // counters (the per-thread workspace arena, the FFT plan cache) surface
-  // them at scrape time instead of double-counting on their hot paths.
-  impl_->callbacks["arena.hits"] = [] {
-    return static_cast<double>(runtime::arena_stats().hits);
-  };
-  impl_->callbacks["arena.misses"] = [] {
-    return static_cast<double>(runtime::arena_stats().misses);
-  };
-  impl_->callbacks["arena.hit_rate"] = [] {
-    return runtime::arena_stats().hit_rate();
-  };
-  impl_->callbacks["arena.bytes_cached"] = [] {
-    return static_cast<double>(runtime::arena_stats().bytes_cached);
-  };
-  impl_->callbacks["arena.outstanding"] = [] {
-    return static_cast<double>(runtime::arena_stats().outstanding);
-  };
-  impl_->callbacks["arena.reserved_bytes"] = [] {
-    return static_cast<double>(runtime::arena_stats().reserved_bytes);
-  };
-  impl_->callbacks["arena.reservations"] = [] {
-    return static_cast<double>(runtime::arena_stats().reservations);
-  };
+  // Built-in callback gauge: the FFT plan cache keeps its own size and
+  // surfaces it at scrape time instead of double-counting on its hot path.
   impl_->callbacks["fft.plan_cache.size"] = [] {
     return static_cast<double>(fft::plan_cache_size());
   };
 }
 
 Registry& Registry::instance() {
-  // Immortal for the same teardown-ordering reason as the workspace-arena
-  // registry: instrumented code on late-exiting threads (pool workers,
-  // client threads) must never observe a destroyed registry.
+  // Immortal: instrumented code on late-exiting threads (pool workers,
+  // client threads, thread_local destructors at process teardown) must
+  // never observe a destroyed registry.
   static Registry* r = new Registry();
   return *r;
 }

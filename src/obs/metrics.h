@@ -129,12 +129,11 @@ struct MetricSnapshot {
 };
 
 /// Name-keyed owner of every metric in the process. Metrics are created on
-/// first lookup and never destroyed (the registry is immortal, like the
-/// workspace-arena registry, so instrumented code in late-exiting threads
-/// can never touch a dead metric). Callback gauges let subsystems with
-/// their own internal counters (workspace arena, FFT plan cache, thread
-/// pool queue) surface values at scrape time without restructuring their
-/// hot paths.
+/// first lookup and never destroyed (the registry is immortal, so
+/// instrumented code in late-exiting threads can never touch a dead
+/// metric). Callback gauges let subsystems with their own internal state
+/// (FFT plan cache, thread pool queue) surface values at scrape time
+/// without restructuring their hot paths.
 class Registry {
  public:
   static Registry& instance();

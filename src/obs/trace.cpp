@@ -51,7 +51,7 @@ struct TraceRegistry {
 
 TraceRegistry& trace_registry() {
   // Immortal: spans on late-exiting threads must never touch a destroyed
-  // registry (same teardown-ordering rule as the workspace arena).
+  // registry (same teardown-ordering rule as the metrics registry).
   static TraceRegistry* r = new TraceRegistry();
   return *r;
 }

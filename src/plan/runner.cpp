@@ -1,7 +1,6 @@
 #include "plan/runner.h"
 
 #include <chrono>
-#include <exception>
 #include <utility>
 
 #include "common/env.h"
@@ -68,44 +67,38 @@ std::shared_ptr<PlanExecutor> PlanRunner::compile_shape(const Shape& shape) {
     return std::chrono::duration<double, std::milli>(b - a).count();
   };
   const auto t0 = std::chrono::steady_clock::now();
-  try {
-    NoGradGuard no_grad;
-    // Trace on a zero probe: the plan depends only on shapes, and the
-    // recorded kernels never branch on values.
-    Var in{Tensor(shape)};
-    TraceSession sess(model_->named_parameters(), in);
-    Var out = model_->forward(in);
-    const auto t_traced = std::chrono::steady_clock::now();
-    if (!sess.ok()) {
-      SAUFNO_WARN << "plan: falling back to interpreter for shape "
-                  << shape_str(shape) << ": " << sess.error();
-      return nullptr;
-    }
-    Plan lowered = sess.take_plan(out);
-    const auto t_lowered = std::chrono::steady_clock::now();
-    Plan compiled = compile(std::move(lowered));
-    const auto t1 = std::chrono::steady_clock::now();
-
-    CompileBreakdown bd;
-    bd.trace_ms = ms_since(t0, t_traced);
-    bd.lower_ms = ms_since(t_traced, t_lowered);
-    bd.passes_ms = ms_since(t_lowered, t1);
-    bd.total_ms = ms_since(t0, t1);
-    RunnerMetrics& rm = runner_metrics();
-    rm.compile_ms.record(bd.total_ms);
-    rm.compile_trace_ms.record(bd.trace_ms);
-    rm.compile_lower_ms.record(bd.lower_ms);
-    rm.compile_passes_ms.record(bd.passes_ms);
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      last_breakdown_ = bd;
-    }
-    return std::make_shared<PlanExecutor>(std::move(compiled));
-  } catch (const std::exception& e) {
-    SAUFNO_WARN << "plan: compile failed for shape " << shape_str(shape)
-                << " (interpreting instead): " << e.what();
+  NoGradGuard no_grad;
+  // Trace on a zero probe: the plan depends only on shapes, and the
+  // recorded kernels never branch on values.
+  Var in{Tensor(shape)};
+  TraceSession sess(model_->named_parameters(), in);
+  Var out = model_->forward(in);
+  const auto t_traced = std::chrono::steady_clock::now();
+  if (!sess.ok()) {
+    SAUFNO_WARN << "plan: falling back to interpreter for shape "
+                << shape_str(shape) << ": " << sess.error();
     return nullptr;
   }
+  Plan lowered = sess.take_plan(out);
+  const auto t_lowered = std::chrono::steady_clock::now();
+  Plan compiled = compile(std::move(lowered));
+  const auto t1 = std::chrono::steady_clock::now();
+
+  CompileBreakdown bd;
+  bd.trace_ms = ms_since(t0, t_traced);
+  bd.lower_ms = ms_since(t_traced, t_lowered);
+  bd.passes_ms = ms_since(t_lowered, t1);
+  bd.total_ms = ms_since(t0, t1);
+  RunnerMetrics& rm = runner_metrics();
+  rm.compile_ms.record(bd.total_ms);
+  rm.compile_trace_ms.record(bd.trace_ms);
+  rm.compile_lower_ms.record(bd.lower_ms);
+  rm.compile_passes_ms.record(bd.passes_ms);
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    last_breakdown_ = bd;
+  }
+  return std::make_shared<PlanExecutor>(std::move(compiled));
 }
 
 PlanRunner::CompileBreakdown PlanRunner::last_compile_breakdown() const {
@@ -126,7 +119,8 @@ std::shared_ptr<PlanExecutor> PlanRunner::get_or_compile(const Shape& shape) {
   // Compile OUTSIDE the lock (same discipline as the FFT plan cache): a
   // multi-second first compile must not stall forwards for other shapes.
   // Concurrent first-users may both compile; the first to publish wins and
-  // the loser's work is dropped.
+  // the loser's work is dropped. A compile that throws caches nothing, so
+  // the next forward of the shape compiles again.
   std::shared_ptr<PlanExecutor> exec = compile_shape(shape);
   std::lock_guard<std::mutex> lk(mu_);
   auto ins = cache_.emplace(shape, exec);

@@ -25,8 +25,9 @@ const char* mode_name(Mode m);
 
 /// Serving-side entry point to the plan subsystem: owns one compiled plan
 /// per input shape for a fixed model (the FFT plan cache pattern — compile
-/// outside the lock, first published wins) and transparently falls back to
-/// the interpreted forward when tracing fails or the mode says so.
+/// outside the lock, first published wins) and falls back to the
+/// interpreted forward when a shape traces to an unsupported op or the mode
+/// says so.
 ///
 /// Thread-safe. All forwards run under NoGradGuard semantics — the runner
 /// is for inference; training keeps the define-by-run path.
@@ -35,19 +36,22 @@ class PlanRunner {
   PlanRunner(std::shared_ptr<nn::Module> model, Mode mode);
 
   /// Run one forward. Plan-mode results are bit-identical to the
-  /// interpreter's; on any compile failure the runner logs once per shape
-  /// and interprets instead, so serving never breaks.
+  /// interpreter's. A shape whose trace hits an unsupported op logs once
+  /// and is interpreted from then on. A compile that throws (an allocation
+  /// failure, an injected fault) propagates to the caller and caches
+  /// nothing, so the next forward of that shape compiles again.
   Tensor forward(const Tensor& input);
 
   /// Compile the plan for `shape` ahead of its first forward. Returns true
-  /// when this call compiled it (false when cached, or in kOff mode). A
-  /// compile that fails is cached as a fallback like in forward().
+  /// when this call compiled it, or cached the interpreter fallback for an
+  /// unsupported op (false when already cached, or in kOff mode). A compile
+  /// that throws propagates and caches nothing, as in forward().
   bool prepare(const Shape& shape);
 
   Mode mode() const { return mode_; }
-  /// Number of shapes with a cached compile attempt (hit or failed).
+  /// Number of shapes with a cached compile (a plan or a fallback).
   std::size_t cache_size() const;
-  /// The compiled plan for `shape`, or nullptr (uncompiled / failed).
+  /// The compiled plan for `shape`, or nullptr (uncompiled / fallback).
   std::shared_ptr<PlanExecutor> executor_for(const Shape& shape) const;
 
   /// Wall-clock phases of one plan compile. `trace_ms` is the recorded
@@ -69,7 +73,7 @@ class PlanRunner {
 
  private:
   /// Cached compile result; `exec == nullptr` is a negative entry (the
-  /// shape traced to an unsupported op) so failures are not re-attempted.
+  /// shape traced to an unsupported op) so the trace is not re-attempted.
   std::shared_ptr<PlanExecutor> get_or_compile(const Shape& shape);
   std::shared_ptr<PlanExecutor> compile_shape(const Shape& shape);
 

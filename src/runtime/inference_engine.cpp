@@ -11,7 +11,6 @@
 #include "runtime/pipeline.h"
 #include "runtime/parallel_for.h"
 #include "runtime/thread_pool.h"
-#include "runtime/workspace.h"
 #include "tensor/tensor_ops.h"
 #include "train/model_zoo.h"
 
@@ -457,24 +456,14 @@ void InferenceEngine::forward_and_deliver(std::vector<InferenceRequest>& batch,
   const int64_t padded =
       cfg_.pad_to_full_batch ? std::max<int64_t>(cfg_.max_batch, bsz) : bsz;
 
-  // Batch assembly runs through the workspace arena: after the first batch
-  // of a given shape, stacking allocates nothing.
-  Tensor stacked =
-      Tensor::scratch({padded, in_shape[0], in_shape[1], in_shape[2]});
+  // Padding rows stay zero (Tensor's storage is zero-initialized).
+  Tensor stacked({padded, in_shape[0], in_shape[1], in_shape[2]});
   {
     SAUFNO_TRACE_SPAN("engine.assemble");
     for (int64_t i = 0; i < bsz; ++i) {
       std::memcpy(stacked.data() + i * sample,
                   batch[lo + static_cast<std::size_t>(i)].input.data(),
                   sizeof(float) * static_cast<std::size_t>(sample));
-    }
-    if (padded > bsz) {
-      // Scratch tensors are uninitialized; padding rows must still be zero
-      // so they cannot perturb stats-free kernels or produce NaNs
-      // downstream.
-      std::memset(stacked.data() + bsz * sample, 0,
-                  sizeof(float) *
-                      static_cast<std::size_t>((padded - bsz) * sample));
     }
   }
 
@@ -576,14 +565,6 @@ void InferenceEngine::forward_and_deliver(std::vector<InferenceRequest>& batch,
   SAUFNO_TRACE_SPAN("engine.scatter");
   for (int64_t i = 0; i < bsz; ++i) {
     if (dead[static_cast<std::size_t>(i)]) continue;
-    // Plain heap tensors, deliberately NOT Tensor::scratch: results cross
-    // the engine/client thread boundary and die wherever the caller drops
-    // them. An arena-backed result released on a short-lived client
-    // thread lands in that thread's freelist and is freed at thread exit
-    // (worse, a release after the client's thread-local arena teardown is
-    // use-after-destruction), so the engine's arena would never reach
-    // allocation-free steady state. Heap storage keeps the arena cycle
-    // engine-side only.
     Tensor result(result_shape);
     std::memcpy(result.data(), decoded.data() + i * out_sample,
                 sizeof(float) * static_cast<std::size_t>(out_sample));
@@ -805,10 +786,6 @@ InferenceStats InferenceEngine::stats() const {
   s.latency_p95_ms = latency_hist_.quantile(0.95);
   s.latency_p99_ms = latency_hist_.quantile(0.99);
   s.latency_max_ms = latency_hist_.max();
-  const ArenaStats arena = arena_stats();
-  s.arena_hits = arena.hits;
-  s.arena_misses = arena.misses;
-  s.arena_hit_rate = arena.hit_rate();
   return s;
 }
 

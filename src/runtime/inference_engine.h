@@ -41,13 +41,6 @@ struct InferenceStats {
   double latency_p95_ms = 0.0;
   double latency_p99_ms = 0.0;
   double latency_max_ms = 0.0;
-  /// Workspace-arena counters (process-wide, see runtime/workspace.h):
-  /// steady-state serving should show arena_hit_rate -> 1.0, i.e. the
-  /// spectral hot loop and batch assembly run with zero heap allocation
-  /// once every worker thread has warmed its freelists.
-  int64_t arena_hits = 0;
-  int64_t arena_misses = 0;
-  double arena_hit_rate = 0.0;
 };
 
 /// Batched inference engine: owns a frozen model and a batcher thread that

@@ -1,11 +1,12 @@
 #include "runtime/workspace.h"
 
-#include <atomic>
-#include <mutex>
+#include <cstdint>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include "common/fault.h"
+#include "obs/metrics.h"
 
 namespace saufno {
 namespace runtime {
@@ -18,14 +19,9 @@ constexpr int kMinBucketLog2 = 8;
 constexpr int kMaxBucketLog2 = 30;
 constexpr int kNumBuckets = kMaxBucketLog2 - kMinBucketLog2 + 1;
 constexpr std::size_t kMaxBlocksPerBucket = 16;
-// Per-thread retention budget: past this, released blocks overflow to the
-// shared pool (or the heap) instead of ratcheting a thread's RSS forever.
+// Per-thread retention budget: past this, released blocks go back to the
+// heap instead of ratcheting a thread's RSS forever.
 constexpr int64_t kMaxCachedBytesPerThread = int64_t{512} << 20;
-// Shared overflow pool cap per bucket. The pool is what lets blocks whose
-// release happens on a DIFFERENT thread than the acquire (serving result
-// tensors dropped by client threads) flow back to the producer instead of
-// dying in a consumer freelist.
-constexpr std::size_t kMaxGlobalBlocksPerBucket = 64;
 
 /// Bucket index for a request, or -1 when the size bypasses the cache.
 int bucket_of(std::size_t bytes) {
@@ -36,121 +32,25 @@ int bucket_of(std::size_t bytes) {
   return -1;
 }
 
-/// Counters are kept per thread (each arena owns its own cache lines) and
-/// summed in arena_stats(), so the hot path never touches shared state.
-/// They are still atomics so stats()/reset() from other threads are safe.
-struct Counters {
-  std::atomic<int64_t> hits{0};
-  std::atomic<int64_t> misses{0};
-  std::atomic<int64_t> releases{0};
-  std::atomic<int64_t> bytes_cached{0};
-  std::atomic<int64_t> outstanding{0};
+struct ArenaMetrics {
+  obs::Counter& hits = obs::counter("arena.hits");
+  obs::Counter& misses = obs::counter("arena.misses");
+  obs::Gauge& reserved_bytes = obs::gauge("arena.reserved_bytes");
+  obs::Gauge& reservations = obs::gauge("arena.reservations");
 };
 
-struct ThreadArena;
-
-struct Registry {
-  std::mutex m;
-  std::vector<ThreadArena*> arenas;
-  // Totals inherited from exited threads, so stats stay monotone.
-  Counters retired;
-};
-
-Registry& registry() {
-  // Intentionally immortal (never destroyed): thread_local ThreadArena
-  // destructors run during process teardown, AFTER function-local statics
-  // have been destroyed — a destructible Registry turns every pool-thread
-  // exit at shutdown into a use-after-free (caught by the ASan CI lane).
-  // The one Registry is reachable through this static pointer for the whole
-  // process lifetime, so leak checkers treat it as reachable, not leaked.
-  static Registry* r = new Registry();
-  return *r;
-}
-
-/// Mutex-protected overflow pool shared by every thread. Touched only when
-/// a thread's own freelist cannot serve (cold start, cross-thread block
-/// migration) — the steady-state same-thread path stays lock-free.
-struct GlobalPool {
-  std::mutex m;
-  std::vector<void*> lists[kNumBuckets];
-  std::atomic<int64_t> bytes{0};
-
-  // No destructor: the pool is immortal for the same teardown-ordering
-  // reason as the Registry (arena_release from a late-exiting thread must
-  // not touch a destroyed pool). Cached blocks stay reachable through it;
-  // the OS reclaims everything at process exit, and arena_trim() drains it
-  // explicitly for tests.
-
-  void* try_pop(int b) {
-    std::lock_guard<std::mutex> lk(m);
-    auto& list = lists[b - kMinBucketLog2];
-    if (list.empty()) return nullptr;
-    void* p = list.back();
-    list.pop_back();
-    bytes.fetch_sub(int64_t{1} << b, std::memory_order_relaxed);
-    return p;
-  }
-
-  bool try_push(int b, void* p) {
-    std::lock_guard<std::mutex> lk(m);
-    auto& list = lists[b - kMinBucketLog2];
-    if (list.size() >= kMaxGlobalBlocksPerBucket) return false;
-    list.push_back(p);
-    bytes.fetch_add(int64_t{1} << b, std::memory_order_relaxed);
-    return true;
-  }
-
-  void drain() {
-    std::lock_guard<std::mutex> lk(m);
-    for (int i = 0; i < kNumBuckets; ++i) {
-      for (void* p : lists[i]) ::operator delete(p);
-      lists[i].clear();
-    }
-    bytes.store(0, std::memory_order_relaxed);
-  }
-};
-
-GlobalPool& global_pool() {
-  static GlobalPool* pool = new GlobalPool();
-  return *pool;
+ArenaMetrics& arena_metrics() {
+  static ArenaMetrics m;
+  return m;
 }
 
 struct ThreadArena {
   std::vector<void*> lists[kNumBuckets];
-  Counters c;
-
-  ThreadArena() {
-    auto& r = registry();
-    std::lock_guard<std::mutex> lk(r.m);
-    r.arenas.push_back(this);
-  }
+  int64_t bytes_cached = 0;
 
   ~ThreadArena() {
-    trim();
-    auto& r = registry();
-    std::lock_guard<std::mutex> lk(r.m);
-    r.retired.hits += c.hits.load(std::memory_order_relaxed);
-    r.retired.misses += c.misses.load(std::memory_order_relaxed);
-    r.retired.releases += c.releases.load(std::memory_order_relaxed);
-    // A thread can release blocks another thread acquired (and vice versa),
-    // so per-arena outstanding may be negative; only the sum is meaningful.
-    r.retired.outstanding += c.outstanding.load(std::memory_order_relaxed);
-    for (auto it = r.arenas.begin(); it != r.arenas.end(); ++it) {
-      if (*it == this) {
-        r.arenas.erase(it);
-        break;
-      }
-    }
-  }
-
-  void trim() {
-    for (int b = kMinBucketLog2; b <= kMaxBucketLog2; ++b) {
-      auto& list = lists[b - kMinBucketLog2];
-      for (void* p : list) {
-        ::operator delete(p);
-        c.bytes_cached.fetch_sub(int64_t{1} << b, std::memory_order_relaxed);
-      }
-      list.clear();
+    for (auto& list : lists) {
+      for (void* p : list) ::operator delete(p);
     }
   }
 };
@@ -160,130 +60,67 @@ ThreadArena& local_arena() {
   return arena;
 }
 
-// Plan-reservation accounting (process-global: reservations are created on
-// whatever thread compiles a plan and destroyed wherever the last executor
-// buffer drops, so per-thread counters would only confuse).
-std::atomic<int64_t> g_reserved_bytes{0};
-std::atomic<int64_t> g_reservations{0};
-
 }  // namespace
 
 Reservation::Reservation(std::size_t bytes) : bytes_(bytes) {
   if (bytes == 0) return;
   p_ = ::operator new(bytes, std::align_val_t{64});
-  g_reserved_bytes.fetch_add(static_cast<int64_t>(bytes),
-                             std::memory_order_relaxed);
-  g_reservations.fetch_add(1, std::memory_order_relaxed);
+  ArenaMetrics& m = arena_metrics();
+  m.reserved_bytes.add(static_cast<int64_t>(bytes));
+  m.reservations.add(1);
 }
 
 Reservation::~Reservation() {
   if (p_ == nullptr) return;
   ::operator delete(p_, std::align_val_t{64});
-  g_reserved_bytes.fetch_sub(static_cast<int64_t>(bytes_),
-                             std::memory_order_relaxed);
-  g_reservations.fetch_sub(1, std::memory_order_relaxed);
+  ArenaMetrics& m = arena_metrics();
+  m.reserved_bytes.add(-static_cast<int64_t>(bytes_));
+  m.reservations.add(-1);
 }
 
 Reservation::Reservation(Reservation&& o) noexcept
-    : p_(o.p_), bytes_(o.bytes_) {
-  o.p_ = nullptr;
-  o.bytes_ = 0;
-}
+    : p_(std::exchange(o.p_, nullptr)), bytes_(std::exchange(o.bytes_, 0)) {}
 
 Reservation& Reservation::operator=(Reservation&& o) noexcept {
-  if (this != &o) {
-    this->~Reservation();
-    p_ = o.p_;
-    bytes_ = o.bytes_;
-    o.p_ = nullptr;
-    o.bytes_ = 0;
-  }
+  std::swap(p_, o.p_);
+  std::swap(bytes_, o.bytes_);
   return *this;
 }
 
 void* arena_acquire(std::size_t bytes) {
   SAUFNO_FAULT_POINT("alloc");
+  ArenaMetrics& m = arena_metrics();
   const int b = bucket_of(bytes);
-  ThreadArena& a = local_arena();
-  a.c.outstanding.fetch_add(1, std::memory_order_relaxed);
   if (b >= 0) {
+    ThreadArena& a = local_arena();
     auto& list = a.lists[b - kMinBucketLog2];
     if (!list.empty()) {
       void* p = list.back();
       list.pop_back();
-      a.c.bytes_cached.fetch_sub(int64_t{1} << b, std::memory_order_relaxed);
-      a.c.hits.fetch_add(1, std::memory_order_relaxed);
+      a.bytes_cached -= int64_t{1} << b;
+      m.hits.add();
       return p;
     }
-    if (void* p = global_pool().try_pop(b)) {
-      a.c.hits.fetch_add(1, std::memory_order_relaxed);
-      return p;
-    }
-    a.c.misses.fetch_add(1, std::memory_order_relaxed);
-    return ::operator new(std::size_t{1} << b);
   }
-  a.c.misses.fetch_add(1, std::memory_order_relaxed);
-  return ::operator new(bytes);
+  m.misses.add();
+  return ::operator new(b >= 0 ? std::size_t{1} << b : bytes);
 }
 
 void arena_release(void* p, std::size_t bytes) {
   if (p == nullptr) return;
   const int b = bucket_of(bytes);
-  ThreadArena& a = local_arena();
-  a.c.outstanding.fetch_sub(1, std::memory_order_relaxed);
-  a.c.releases.fetch_add(1, std::memory_order_relaxed);
   if (b >= 0) {
+    ThreadArena& a = local_arena();
     auto& list = a.lists[b - kMinBucketLog2];
     const int64_t size = int64_t{1} << b;
     if (list.size() < kMaxBlocksPerBucket &&
-        a.c.bytes_cached.load(std::memory_order_relaxed) + size <=
-            kMaxCachedBytesPerThread) {
+        a.bytes_cached + size <= kMaxCachedBytesPerThread) {
       list.push_back(p);
-      a.c.bytes_cached.fetch_add(size, std::memory_order_relaxed);
+      a.bytes_cached += size;
       return;
     }
-    if (global_pool().try_push(b, p)) return;
   }
   ::operator delete(p);
-}
-
-ArenaStats arena_stats() {
-  ArenaStats s;
-  auto& r = registry();
-  std::lock_guard<std::mutex> lk(r.m);
-  s.hits = r.retired.hits.load(std::memory_order_relaxed);
-  s.misses = r.retired.misses.load(std::memory_order_relaxed);
-  s.releases = r.retired.releases.load(std::memory_order_relaxed);
-  s.outstanding = r.retired.outstanding.load(std::memory_order_relaxed);
-  for (const ThreadArena* a : r.arenas) {
-    s.hits += a->c.hits.load(std::memory_order_relaxed);
-    s.misses += a->c.misses.load(std::memory_order_relaxed);
-    s.releases += a->c.releases.load(std::memory_order_relaxed);
-    s.bytes_cached += a->c.bytes_cached.load(std::memory_order_relaxed);
-    s.outstanding += a->c.outstanding.load(std::memory_order_relaxed);
-  }
-  s.bytes_cached += global_pool().bytes.load(std::memory_order_relaxed);
-  s.reserved_bytes = g_reserved_bytes.load(std::memory_order_relaxed);
-  s.reservations = g_reservations.load(std::memory_order_relaxed);
-  return s;
-}
-
-void arena_reset_counters() {
-  auto& r = registry();
-  std::lock_guard<std::mutex> lk(r.m);
-  r.retired.hits = 0;
-  r.retired.misses = 0;
-  r.retired.releases = 0;
-  for (ThreadArena* a : r.arenas) {
-    a->c.hits.store(0, std::memory_order_relaxed);
-    a->c.misses.store(0, std::memory_order_relaxed);
-    a->c.releases.store(0, std::memory_order_relaxed);
-  }
-}
-
-void arena_trim() {
-  local_arena().trim();
-  global_pool().drain();
 }
 
 }  // namespace runtime

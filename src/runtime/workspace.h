@@ -1,47 +1,23 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <cstring>
 
 namespace saufno {
 namespace runtime {
 
-/// Global counters for the workspace arena (aggregated over every thread's
-/// freelists). `hits` counts acquisitions served from a cached block,
-/// `misses` acquisitions that had to touch the heap; a steady-state hot loop
-/// should show a hit rate of 1.0 once every participating thread has warmed
-/// its freelists.
-struct ArenaStats {
-  int64_t hits = 0;
-  int64_t misses = 0;
-  int64_t releases = 0;
-  int64_t bytes_cached = 0;    // capacity currently parked in freelists
-  int64_t outstanding = 0;     // blocks handed out and not yet released
-  int64_t reserved_bytes = 0;  // capacity held by live plan Reservations
-  int64_t reservations = 0;    // live plan Reservations
-  double hit_rate() const {
-    const int64_t total = hits + misses;
-    return total > 0 ? static_cast<double>(hits) / static_cast<double>(total)
-                     : 0.0;
-  }
-};
-
-/// Thread-local, size-bucketed scratch allocator for hot-loop buffers
-/// (spectral transforms, im2col columns, inference batch assembly).
+/// Thread-local, size-bucketed freelist behind Scratch<T> (spectral
+/// transforms, im2col columns, gemm packing, attention row blocks).
 ///
 /// - Requests are rounded up to the next power-of-two bucket (min 256 B);
 ///   each thread keeps a bounded freelist per bucket (count- and
-///   byte-budgeted), so steady-state same-thread reuse never takes a lock
-///   and never calls the system allocator.
-/// - `arena_release` may run on a different thread than the matching
-///   `arena_acquire` (a serving future can drop its result tensor
-///   anywhere); the block joins the releasing thread's freelist, and once
-///   that freelist is full it overflows into a mutex-protected shared pool
-///   that producer threads fall back to on a local miss — so cross-thread
-///   block cycles (engine allocates, client frees) still converge to
-///   allocation-free steady state instead of stranding memory on consumer
-///   threads.
+///   byte-budgeted), so steady-state reuse never takes a lock and never
+///   calls the system allocator.
+/// - Scratch is the only caller, so a block is released on the thread that
+///   acquired it. A release on another thread is still safe: the block
+///   joins that thread's freelist (or the heap, once the freelist is full).
+/// - Acquisitions are counted in obs: `arena.hits` (served from a cached
+///   block) and `arena.misses` (had to touch the heap).
 /// - Returned memory is UNINITIALIZED — callers that need zeros must clear
 ///   it themselves (Scratch::zero()).
 /// - Determinism: buffer identity never feeds into numerics, so arena reuse
@@ -49,27 +25,21 @@ struct ArenaStats {
 void* arena_acquire(std::size_t bytes);
 void arena_release(void* p, std::size_t bytes);
 
-ArenaStats arena_stats();
-/// Zero the global hit/miss/release counters (test + bench hook).
-void arena_reset_counters();
-/// Free every block cached by the CALLING thread's freelists and drain the
-/// shared overflow pool. Other threads' local caches are untouched (they
-/// are only safe to free from their owning thread).
-void arena_trim();
-
 /// Whole-plan workspace reservation: ONE 64-byte-aligned block sized at
 /// plan-compile time, into which the plan executor binds every temp slot
 /// via Tensor::wrap_external (disjoint liveness-packed offsets). Unlike
 /// arena_acquire blocks, reservations are long-lived — they live as long as
 /// the executor buffer that owns them — so they are plain aligned heap
-/// allocations tracked by ArenaStats::{reserved_bytes, reservations}
-/// instead of freelist entries that would pin a bucket forever.
+/// allocations tracked by the `arena.reserved_bytes` and
+/// `arena.reservations` obs gauges instead of freelist entries that would
+/// pin a bucket forever.
 class Reservation {
  public:
   Reservation() = default;
   explicit Reservation(std::size_t bytes);
   ~Reservation();
   Reservation(Reservation&& o) noexcept;
+  /// Exchanges blocks: the one this held is released with `o`.
   Reservation& operator=(Reservation&& o) noexcept;
   Reservation(const Reservation&) = delete;
   Reservation& operator=(const Reservation&) = delete;
@@ -88,13 +58,9 @@ class Scratch {
  public:
   explicit Scratch(std::size_t n)
       : n_(n), p_(static_cast<T*>(arena_acquire(n * sizeof(T)))) {}
-  ~Scratch() {
-    if (p_ != nullptr) arena_release(p_, n_ * sizeof(T));
-  }
-  Scratch(Scratch&& o) noexcept : n_(o.n_), p_(o.p_) { o.p_ = nullptr; }
+  ~Scratch() { arena_release(p_, n_ * sizeof(T)); }
   Scratch(const Scratch&) = delete;
   Scratch& operator=(const Scratch&) = delete;
-  Scratch& operator=(Scratch&&) = delete;
 
   T* data() { return p_; }
   const T* data() const { return p_; }

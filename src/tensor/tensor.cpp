@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "runtime/parallel_for.h"
-#include "runtime/workspace.h"
 
 namespace saufno {
 
@@ -36,32 +35,18 @@ std::vector<int64_t> contiguous_strides(const Shape& s) {
 
 struct Tensor::Storage {
   std::vector<float> heap;
-  float* arena = nullptr;
-  std::size_t arena_bytes = 0;
   /// Non-owning external pointer (Tensor::wrap_external); never released.
   float* external = nullptr;
 
   Storage() = default;
   /// Heap storage, zero-initialized (the historical Tensor contract).
   explicit Storage(std::size_t n) : heap(n, 0.f) {}
-  /// Arena storage, uninitialized.
-  Storage(std::size_t n, bool /*from_arena*/)
-      : arena(static_cast<float*>(
-            runtime::arena_acquire(n * sizeof(float)))),
-        arena_bytes(n * sizeof(float)) {}
   Storage(const Storage&) = delete;
   Storage& operator=(const Storage&) = delete;
-  ~Storage() {
-    if (arena != nullptr) runtime::arena_release(arena, arena_bytes);
-  }
 
-  float* ptr() {
-    if (external != nullptr) return external;
-    return arena != nullptr ? arena : heap.data();
-  }
+  float* ptr() { return external != nullptr ? external : heap.data(); }
   const float* ptr() const {
-    if (external != nullptr) return external;
-    return arena != nullptr ? arena : heap.data();
+    return external != nullptr ? external : heap.data();
   }
 };
 
@@ -86,18 +71,6 @@ Tensor::Tensor(Shape shape, std::vector<float> values)
 }
 
 Tensor Tensor::zeros(Shape shape) { return Tensor(std::move(shape)); }
-
-Tensor Tensor::scratch(Shape shape) {
-  Tensor t;
-  for (int64_t d : shape) {
-    SAUFNO_CHECK(d >= 0, "negative dimension in shape " + shape_str(shape));
-  }
-  t.numel_ = numel_of(shape);
-  t.shape_ = std::move(shape);
-  t.storage_ = std::make_shared<Storage>(
-      static_cast<std::size_t>(t.numel_), /*from_arena=*/true);
-  return t;
-}
 
 Tensor Tensor::wrap_external(float* data, Shape shape) {
   SAUFNO_CHECK(data != nullptr, "wrap_external of a null pointer");

@@ -41,12 +41,6 @@ class Tensor {
   static Tensor zeros(Shape shape);
   static Tensor ones(Shape shape);
   static Tensor full(Shape shape, float value);
-  /// Arena-backed tensor for hot loops (serving batch assembly, kernel
-  /// scratch): storage comes from the calling thread's workspace arena and
-  /// returns to it when the last reference drops, so steady-state use does
-  /// no heap allocation. Contents are UNINITIALIZED — callers must write
-  /// every element (or fill_) before reading.
-  static Tensor scratch(Shape shape);
   /// Non-owning view over caller-managed memory (the plan executor's
   /// per-plan arena reservation binds every temp slot this way, so a
   /// compiled forward performs zero per-op allocations). The caller must
@@ -93,9 +87,8 @@ class Tensor {
                 float atol = 1e-6f) const;
 
  private:
-  /// Storage is either an owned heap vector or a block borrowed from the
-  /// workspace arena (Tensor::scratch); the arena block is released when
-  /// the last Tensor sharing it drops.
+  /// Storage is either an owned heap vector or caller-managed memory
+  /// (Tensor::wrap_external).
   struct Storage;
   std::shared_ptr<Storage> storage_;
   Shape shape_;

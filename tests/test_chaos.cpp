@@ -78,13 +78,18 @@ struct Tally {
 TEST(Chaos, MixedRequestSoakEveryFutureResolves) {
   // >=5k requests (smoke scale) from 8 threads, three resolutions, a
   // sprinkle of deadlines and cancellations, under throw + delay faults in
-  // the forward and gemm paths. The engine must classify every single
-  // outcome — a lost future deadlocks this test and trips the ctest
-  // TIMEOUT.
+  // the forward, gemm and allocation paths. The engine must classify every
+  // single outcome — a lost future deadlocks this test and trips the ctest
+  // TIMEOUT. A forward at these shapes evaluates `gemm` ~47 times and
+  // `alloc` (every workspace Scratch, on worker threads and inside plan
+  // compiles) ~3400 times, so alloc's p = 0.002 * 47 / 3400 faults about
+  // the same share of forwards (~9%) as the gemm rule.
   const int kThreads = 8;
   const int kPerThread = scaled(640, 2560);  // 5120 total at smoke
-  FaultGuard fg("forward:throw:p=0.02,gemm:throw:p=0.002,delay:ms=1:p=0.002",
-                20250807);
+  FaultGuard fg(
+      "forward:throw:p=0.02,gemm:throw:p=0.002,alloc:throw:p=0.0000275,"
+      "delay:ms=1:p=0.002",
+      20250807);
 
   InferenceEngine::Config cfg;
   cfg.max_batch = 8;
@@ -153,6 +158,7 @@ TEST(Chaos, MixedRequestSoakEveryFutureResolves) {
   // The faults were actually armed (the soak is vacuous otherwise) and the
   // engine survived them: the overwhelming majority of requests succeed.
   EXPECT_GT(fault::injected_count("forward"), 0);
+  EXPECT_GT(fault::injected_count("alloc"), 0);
   EXPECT_GT(tally.ok.load(), submitted.load() / 2);
   EXPECT_EQ(tally.shutdown.load(), 0) << "engine shut itself down mid-soak";
 

@@ -226,8 +226,8 @@ TEST(Registry, CallbackGaugesAppearInSnapshot) {
 }
 
 TEST(Registry, BuiltinRuntimeCallbacksPresent) {
-  // The registry self-registers scrape hooks for the workspace arena and
-  // FFT plan cache at construction.
+  // The registry self-registers the FFT plan cache's scrape hook at
+  // construction.
   std::vector<std::string> names;
   for (const auto& m : obs::Registry::instance().snapshot()) {
     names.push_back(m.name);
@@ -235,7 +235,6 @@ TEST(Registry, BuiltinRuntimeCallbacksPresent) {
   auto has = [&](const char* n) {
     return std::find(names.begin(), names.end(), n) != names.end();
   };
-  EXPECT_TRUE(has("arena.hit_rate"));
   EXPECT_TRUE(has("fft.plan_cache.size"));
 }
 

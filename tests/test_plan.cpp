@@ -16,7 +16,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fault.h"
 #include "nn/module.h"
+#include "obs/metrics.h"
 #include "plan/compile.h"
 #include "plan/executor.h"
 #include "plan/ir.h"
@@ -285,6 +287,25 @@ TEST(PlanRunner, UnsupportedOpFallsBackToInterpreter) {
   EXPECT_EQ(runner.executor_for(shape), nullptr);
 }
 
+TEST(PlanRunner, ThrownCompileIsNotCachedAndRetries) {
+  // A fault inside the traced compile propagates and caches nothing, so
+  // the shape's next forward compiles instead of interpreting for the
+  // runner's whole life.
+  auto model = train::make_model("SAU-FNO-micro", 3, 1, 7);
+  model->set_training(false);
+  plan::PlanRunner runner(model, plan::Mode::kOn);
+  const Shape shape{1, 3, 16, 16};
+  Rng rng = testing::test_rng();
+  const Tensor x = Tensor::randn(shape, rng);
+  ASSERT_TRUE(fault::configure("gemm:throw:n=1", 1));
+  EXPECT_THROW(runner.forward(x), fault::FaultInjectedError);
+  EXPECT_EQ(runner.cache_size(), 0u);
+  EXPECT_NO_THROW(runner.forward(x));
+  EXPECT_EQ(fault::injected_count("gemm"), 1);
+  fault::clear();
+  EXPECT_NE(runner.executor_for(shape), nullptr);
+}
+
 TEST(InferenceEngine, PlanModeBitIdenticalToInterpretedServing) {
   // Same seed => same weights; only the forward path differs.
   runtime::InferenceEngine::Config on_cfg;
@@ -307,23 +328,29 @@ TEST(InferenceEngine, PlanModeBitIdenticalToInterpretedServing) {
 }
 
 TEST(Reservation, TracksBytesAndAlignment) {
-  const runtime::ArenaStats before = runtime::arena_stats();
+  const obs::Gauge& bytes = obs::gauge("arena.reserved_bytes");
+  const obs::Gauge& count = obs::gauge("arena.reservations");
+  const int64_t bytes0 = bytes.value(), count0 = count.value();
   {
     runtime::Reservation r(4096);
     ASSERT_NE(r.floats(), nullptr);
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(r.floats()) % 64, 0u);
     EXPECT_EQ(r.bytes(), 4096u);
-    const runtime::ArenaStats mid = runtime::arena_stats();
-    EXPECT_EQ(mid.reservations, before.reservations + 1);
-    EXPECT_EQ(mid.reserved_bytes, before.reserved_bytes + 4096);
+    EXPECT_EQ(count.value(), count0 + 1);
+    EXPECT_EQ(bytes.value(), bytes0 + 4096);
     // Move transfers ownership without double-counting.
     runtime::Reservation moved = std::move(r);
-    EXPECT_EQ(runtime::arena_stats().reservations, before.reservations + 1);
+    EXPECT_EQ(count.value(), count0 + 1);
     EXPECT_EQ(moved.bytes(), 4096u);
+    // Move assignment exchanges: the replaced block dies with the
+    // temporary, the new one stays counted.
+    moved = runtime::Reservation(1024);
+    EXPECT_EQ(moved.bytes(), 1024u);
+    EXPECT_EQ(count.value(), count0 + 1);
+    EXPECT_EQ(bytes.value(), bytes0 + 1024);
   }
-  const runtime::ArenaStats after = runtime::arena_stats();
-  EXPECT_EQ(after.reservations, before.reservations);
-  EXPECT_EQ(after.reserved_bytes, before.reserved_bytes);
+  EXPECT_EQ(count.value(), count0);
+  EXPECT_EQ(bytes.value(), bytes0);
 }
 
 TEST(Tensor, WrapExternalSharesCallerMemory) {

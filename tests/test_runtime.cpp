@@ -1,10 +1,12 @@
 #include "runtime/parallel_for.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -13,6 +15,7 @@
 
 #include "autograd/spectral_ops.h"
 #include "fft/fft.h"
+#include "obs/metrics.h"
 #include "runtime/request_queue.h"
 #include "runtime/thread_pool.h"
 #include "runtime/workspace.h"
@@ -458,120 +461,67 @@ TEST(RuntimeDeterminism, SpectralConv2dForward) {
 }
 
 // ---------------------------------------------------------------------------
-// Workspace arena: size-bucketed reuse, cross-thread release, counters.
+// Workspace arena: size-bucketed per-thread reuse, counted in obs.
 // ---------------------------------------------------------------------------
+
+int64_t arena_hits() { return obs::counter("arena.hits").value(); }
+int64_t arena_misses() { return obs::counter("arena.misses").value(); }
 
 TEST(Workspace, ReleasedBlockIsReusedWithinBucket) {
   PoolSize guard(1);  // no worker arenas in play
-  runtime::arena_trim();
-  runtime::arena_reset_counters();
-  const int64_t base_outstanding = runtime::arena_stats().outstanding;
   void* p = runtime::arena_acquire(1000 * sizeof(float));
-  EXPECT_EQ(runtime::arena_stats().misses, 1);
-  EXPECT_EQ(runtime::arena_stats().outstanding, base_outstanding + 1);
   runtime::arena_release(p, 1000 * sizeof(float));
+  const int64_t hits = arena_hits(), misses = arena_misses();
   // A smaller request in the same power-of-two bucket reuses the block.
   void* q = runtime::arena_acquire(700 * sizeof(float));
   EXPECT_EQ(q, p);
-  const auto s = runtime::arena_stats();
-  EXPECT_EQ(s.hits, 1);
-  EXPECT_EQ(s.misses, 1);
+  EXPECT_EQ(arena_hits(), hits + 1);
+  EXPECT_EQ(arena_misses(), misses);
   runtime::arena_release(q, 700 * sizeof(float));
 }
 
 TEST(Workspace, ScratchRaiiReturnsToArena) {
   PoolSize guard(1);
-  runtime::arena_trim();
-  runtime::arena_reset_counters();
+  const float* first = nullptr;
   {
     runtime::Scratch<float> a(4096);
     a.zero();
     a.data()[0] = 1.f;
     a.data()[4095] = 2.f;
     EXPECT_EQ(a.size(), 4096u);
+    first = a.data();
   }
-  const auto after_first = runtime::arena_stats();
-  EXPECT_EQ(after_first.misses, 1);
-  EXPECT_EQ(after_first.releases, 1);
+  const int64_t hits = arena_hits(), misses = arena_misses();
   {
     runtime::Scratch<float> b(4096);
-    (void)b;
+    EXPECT_EQ(b.data(), first);
   }
-  EXPECT_EQ(runtime::arena_stats().hits, 1);
-  EXPECT_EQ(runtime::arena_stats().misses, 1);
+  EXPECT_EQ(arena_hits(), hits + 1);
+  EXPECT_EQ(arena_misses(), misses);
+  // Both counters reach the scrape that perfbench and exporters read.
+  std::vector<std::string> names;
+  for (const auto& m : obs::Registry::instance().snapshot()) {
+    names.push_back(m.name);
+  }
+  for (const char* n : {"arena.hits", "arena.misses"}) {
+    EXPECT_NE(std::find(names.begin(), names.end(), n), names.end()) << n;
+  }
 }
 
 TEST(Workspace, CrossThreadReleaseIsSafe) {
-  runtime::arena_trim();
-  runtime::arena_reset_counters();
+  // Scratch always releases on its acquiring thread; a raw release on
+  // another thread still lands the block in that thread's freelist.
   void* p = runtime::arena_acquire(512 * sizeof(float));
-  std::thread t([p] { runtime::arena_release(p, 512 * sizeof(float)); });
-  t.join();
-  EXPECT_EQ(runtime::arena_stats().releases, 1);
-}
-
-TEST(Workspace, CrossThreadCycleConvergesViaOverflowPool) {
-  // Producer/consumer pattern of the serving path: this thread acquires,
-  // a client thread frees. Once the client's freelist overflows into the
-  // shared pool, the producer's next acquire must reuse instead of
-  // allocating.
-  PoolSize guard(1);
-  runtime::arena_trim();
-  constexpr std::size_t kBytes = 2048 * sizeof(float);
-  constexpr int kBlocks = 20;  // > per-bucket freelist cap of 16
-  std::vector<void*> blocks;
-  for (int i = 0; i < kBlocks; ++i) {
-    blocks.push_back(runtime::arena_acquire(kBytes));
-  }
-  std::thread client([&] {
-    for (void* p : blocks) runtime::arena_release(p, kBytes);
+  std::thread t([p] {
+    runtime::arena_release(p, 512 * sizeof(float));
+    void* q = runtime::arena_acquire(512 * sizeof(float));
+    EXPECT_EQ(q, p);
+    runtime::arena_release(q, 512 * sizeof(float));
   });
-  client.join();  // client freelist (16) freed at thread exit; rest pooled
-  runtime::arena_reset_counters();
-  void* p = runtime::arena_acquire(kBytes);
-  const auto s = runtime::arena_stats();
-  EXPECT_EQ(s.misses, 0) << "producer did not reuse the pooled block";
-  EXPECT_EQ(s.hits, 1);
-  runtime::arena_release(p, kBytes);
+  t.join();
 }
 
-TEST(Workspace, TrimDropsCachedBytes) {
-  PoolSize guard(1);
-  runtime::arena_trim();
-  {
-    runtime::Scratch<float> a(1 << 14);
-    (void)a;
-  }
-  EXPECT_GT(runtime::arena_stats().bytes_cached, 0);
-  runtime::arena_trim();
-  // Worker threads may still hold caches of their own; this thread's are
-  // gone, and with a 1-thread pool nothing else allocated since the trim.
-  EXPECT_EQ(runtime::arena_stats().bytes_cached, 0);
-}
-
-TEST(Workspace, TensorScratchRoundTrip) {
-  PoolSize guard(1);
-  runtime::arena_trim();
-  runtime::arena_reset_counters();
-  {
-    Tensor t = Tensor::scratch({4, 8});
-    ASSERT_EQ(t.numel(), 32);
-    t.fill_(3.f);
-    EXPECT_FLOAT_EQ(t.at(31), 3.f);
-    Tensor c = t.clone();  // clones land on the heap
-    EXPECT_TRUE(c.allclose(t));
-  }
-  const int64_t misses = runtime::arena_stats().misses;
-  {
-    Tensor t2 = Tensor::scratch({4, 8});
-    t2.fill_(0.f);
-  }
-  // Same bucket: the second scratch tensor hit the freelist.
-  EXPECT_EQ(runtime::arena_stats().misses, misses);
-  EXPECT_GE(runtime::arena_stats().hits, 1);
-}
-
-TEST(Workspace, SpectralSteadyStateDoesNotTouchTheHeap) {
+TEST(Workspace, SpectralSteadyStateHasNoArenaMisses) {
   PoolSize guard(1);  // single arena: warmup fills every bucket it needs
   Rng rng(19);
   const Tensor x = Tensor::randn({2, 4, 16, 16}, rng);
@@ -579,15 +529,12 @@ TEST(Workspace, SpectralSteadyStateDoesNotTouchTheHeap) {
   auto forward = [&] {
     return ops::spectral_conv2d(Var(x, false), Var(w, false), 4, 4, 4).value();
   };
-  // Warm up: builds FFT plans and fills every bucket the op touches. The
-  // reference is cloned to the heap so the warm-up output block itself
-  // returns to the arena before the measured pass.
-  const Tensor ref = forward().clone();
-  runtime::arena_reset_counters();
+  // Warm up: builds FFT plans and fills every bucket the op touches.
+  const Tensor ref = forward();
+  const int64_t hits = arena_hits(), misses = arena_misses();
   const Tensor again = forward();
-  const auto s = runtime::arena_stats();
-  EXPECT_EQ(s.misses, 0) << "spectral hot loop allocated after warmup";
-  EXPECT_GT(s.hits, 0);
+  EXPECT_EQ(arena_misses(), misses) << "spectral hot loop allocated after warmup";
+  EXPECT_GT(arena_hits(), hits);
   EXPECT_TRUE(again.allclose(ref, 0.f, 0.f)) << "reuse changed results";
 }
 
