@@ -3,10 +3,11 @@
 // matrix shapes the zoo models actually hit at serving scale (B=8, C=32,
 // 64x64 grids), plus the end-to-end SAU-FNO forward rate.
 //
-// The attention_block row times the fused row-blocked attention kernel
+// The attention_block rows time the fused row-blocked attention kernel
 // (attention_into) against the composed chain it replaced (bmm -> scaled
-// softmax -> permute -> bmm over [B,N,N] buffers) at the sweep shape, and
-// memcmps the two outputs; a mismatch exits nonzero in every mode.
+// softmax -> permute -> bmm over [B,N,N] buffers) at the sweep shape, for
+// d = c = 12 (the zoo's SAU-FNO width) and 32, and memcmp the two outputs;
+// a mismatch exits nonzero in every mode.
 //
 // Also times the compiled-execution-plan forward (plan::PlanRunner) against
 // the define-by-run interpreter on the same weights and input: the two are
@@ -118,16 +119,19 @@ struct AttentionBench {
   int64_t batch = 0, n = 0, c = 0;
   double ms_composed = 0.0;
   double ms_fused = 0.0;
+  double gflops_fused = 0.0;
   bool bitwise_equal = false;
 };
 
 /// Fused attention_into against the composed chain at [batch, n, c] with
-/// d = c (SAU-FNO's attention embedding width).
-AttentionBench bench_attention(bool smoke) {
+/// d = c (SAU-FNO's attention embedding width). GFLOP/s counts the two
+/// products, 2 * batch * n^2 * (d + c) flops.
+AttentionBench bench_attention(int64_t batch, int64_t n, int64_t c,
+                               bool smoke) {
   AttentionBench r;
-  r.batch = smoke ? 2 : 8;
-  r.n = smoke ? 200 : 4096;
-  r.c = 32;
+  r.batch = batch;
+  r.n = n;
+  r.c = c;
   const int64_t d = r.c;
   const float scale = 1.f / std::sqrt(static_cast<float>(d));
   Rng rng(17);
@@ -145,15 +149,18 @@ AttentionBench bench_attention(bool smoke) {
   r.ms_fused = 1e3 * time_per_call(iters, [&] {
     attention_into(q, k, v, scale, fused);
   });
+  const double flop = 2.0 * static_cast<double>(r.batch) * r.n * r.n *
+                      static_cast<double>(d + r.c);
+  r.gflops_fused = flop / r.ms_fused * 1e-6;
   r.bitwise_equal =
       std::memcmp(fused.data(), composed.data(),
                   sizeof(float) * static_cast<std::size_t>(fused.numel())) ==
       0;
-  std::printf("\nattention_block [%lld, %lld, %lld]: composed %.1f ms -> "
-              "fused %.1f ms  %.2fx  (%s)\n",
+  std::printf("attention_block [%lld, %lld, %lld]: composed %.1f ms -> "
+              "fused %.1f ms  %.2fx  %.1f GFLOP/s  (%s)\n",
               static_cast<long long>(r.batch), static_cast<long long>(r.n),
               static_cast<long long>(r.c), r.ms_composed, r.ms_fused,
-              r.ms_composed / r.ms_fused,
+              r.ms_composed / r.ms_fused, r.gflops_fused,
               r.bitwise_equal ? "bit-identical" : "OUTPUTS DIFFER");
   return r;
 }
@@ -256,7 +263,7 @@ PlanBench bench_plan(bool smoke) {
 
 void write_json(const char* path, bool smoke, double ref_speedup,
                 double fwd_per_sec, const PlanBench& plan,
-                const AttentionBench& attn) {
+                const std::vector<AttentionBench>& attn) {
   JsonWriter w;
   w.begin_object();
   w.field("bench", "bench_kernels");
@@ -274,16 +281,22 @@ void write_json(const char* path, bool smoke, double ref_speedup,
   w.field("plan_fused_kernels", plan.fused_kernels);
   w.field("plan_folded_ops", plan.folded_ops);
   w.key("attention_block");
-  w.begin_object();
-  w.field("threads", runtime::ThreadPool::instance().num_threads());
-  w.field("batch", attn.batch);
-  w.field("n", attn.n);
-  w.field("c", attn.c);
-  w.field("ms_composed", attn.ms_composed, 4);
-  w.field("ms_fused", attn.ms_fused, 4);
-  w.field("speedup", attn.ms_composed / attn.ms_fused, 4);
-  w.field("bitwise_equal", attn.bitwise_equal);
-  w.end_object();
+  w.begin_array();
+  for (const AttentionBench& a : attn) {
+    w.begin_object();
+    w.field("threads", runtime::ThreadPool::instance().num_threads());
+    w.field("batch", a.batch);
+    w.field("n", a.n);
+    w.field("d", a.c);
+    w.field("c", a.c);
+    w.field("ms_composed", a.ms_composed, 4);
+    w.field("ms_fused", a.ms_fused, 4);
+    w.field("speedup", a.ms_composed / a.ms_fused, 4);
+    w.field("gflops_fused", a.gflops_fused, 4);
+    w.field("bitwise_equal", a.bitwise_equal);
+    w.end_object();
+  }
+  w.end_array();
   w.key("results");
   w.begin_array();
   for (const auto& e : g_entries) {
@@ -337,7 +350,13 @@ int main(int argc, char** argv) {
     bench_shape("conv_grad_weight", 32, 288, 4096, 20);
   }
 
-  const AttentionBench attn = bench_attention(smoke);
+  // d = c = 12 is the zoo's SAU-FNO width; 32 the wider embedding.
+  std::printf("\n");
+  std::vector<AttentionBench> attn;
+  for (const int64_t c : {int64_t{12}, int64_t{32}}) {
+    attn.push_back(smoke ? bench_attention(2, 200, c, smoke)
+                         : bench_attention(8, 4096, c, smoke));
+  }
   const double fwd_per_sec = bench_end_to_end(smoke);
   const PlanBench plan = bench_plan(smoke);
 
@@ -345,9 +364,12 @@ int main(int argc, char** argv) {
              attn);
 
   int rc = 0;
-  if (!attn.bitwise_equal) {
-    std::printf("FAIL: fused attention differs from the composed chain\n");
-    rc = 1;
+  for (const AttentionBench& a : attn) {
+    if (!a.bitwise_equal) {
+      std::printf("FAIL: fused attention differs from the composed chain at "
+                  "c = %lld\n", static_cast<long long>(a.c));
+      rc = 1;
+    }
   }
   if (smoke && ref.speedup < 1.0) {
     std::printf("FAIL: blocked gemm slower than the seed kernel at the "

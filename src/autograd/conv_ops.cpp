@@ -41,14 +41,17 @@ void conv2d_into(const Tensor& x, const Tensor& w, const Tensor* bias,
                  "conv2d bias must be [Cout]");
   }
 
-  runtime::Scratch<float> cols(static_cast<std::size_t>(ck * plane));
+  // The columns go straight into gemm's packed-B layout: one buffer, and
+  // the same bits as im2col followed by gemm.
+  runtime::Scratch<float> cols(
+      static_cast<std::size_t>(gemm_packed_b_floats(ck, plane)));
   for (int64_t n = 0; n < B; ++n) {
-    im2col(x.data() + n * cin * h * w_in, cols.data(), cin, h, w_in, kh, kw,
-           stride, pad);
+    im2col_packed(x.data() + n * cin * h * w_in, cols.data(), cin, h, w_in,
+                  kh, kw, stride, pad);
     float* dst = out.data() + n * cout * plane;
     // out[n] = W[cout, ck] * cols[ck, plane]
-    gemm(w.data(), cols.data(), dst, cout, plane, ck,
-         /*accumulate=*/false);
+    gemm_prepacked_b(w.data(), cols.data(), dst, cout, plane, ck,
+                     /*accumulate=*/false);
     if (bias != nullptr) {
       const float* bp = bias->data();
       for (int64_t co = 0; co < cout; ++co) {

@@ -41,6 +41,7 @@ std::uint64_t fnv1a(const std::string& s) {
 struct SiteState {
   std::atomic<std::int64_t> evals{0};
   std::atomic<std::int64_t> fired{0};
+  std::atomic<std::int64_t> thrown{0};
 };
 
 struct Config {
@@ -231,6 +232,7 @@ void point(const char* site) {
       std::this_thread::sleep_for(std::chrono::milliseconds(r.delay_ms));
       continue;  // a delay rule does not stop later rules from firing
     }
+    st.thrown.fetch_add(1, std::memory_order_relaxed);
     static obs::Counter& throws = obs::counter("fault.throws");
     throws.add();
     throw FaultInjectedError(std::string("injected fault at ") + site +
@@ -258,14 +260,28 @@ bool configure(const std::string& spec, std::uint64_t seed) {
 
 void clear() { install(nullptr); }
 
-std::int64_t injected_count(const std::string& site) {
+namespace {
+
+/// `site`'s state in the active config, or nullptr. Configs are immortal
+/// and never drop a site, so the pointer outlives the lock.
+const SiteState* find_site(const std::string& site) {
   Config* cfg = g_config.load(std::memory_order_acquire);
-  if (cfg == nullptr) return 0;
+  if (cfg == nullptr) return nullptr;
   std::lock_guard<std::mutex> lk(cfg->m);
   auto it = cfg->sites.find(site);
-  return it == cfg->sites.end()
-             ? 0
-             : it->second->fired.load(std::memory_order_relaxed);
+  return it == cfg->sites.end() ? nullptr : it->second.get();
+}
+
+}  // namespace
+
+std::int64_t injected_count(const std::string& site) {
+  const SiteState* st = find_site(site);
+  return st == nullptr ? 0 : st->fired.load(std::memory_order_relaxed);
+}
+
+std::int64_t injected_throw_count(const std::string& site) {
+  const SiteState* st = find_site(site);
+  return st == nullptr ? 0 : st->thrown.load(std::memory_order_relaxed);
 }
 
 }  // namespace fault

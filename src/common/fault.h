@@ -72,6 +72,10 @@ void clear();
 /// configure()/clear().
 std::int64_t injected_count(const std::string& site);
 
+/// Throws alone fired at `site` since the last configure()/clear(): unlike
+/// injected_count, a wildcard delay rule cannot make it nonzero.
+std::int64_t injected_throw_count(const std::string& site);
+
 #define SAUFNO_FAULT_POINT(site)                     \
   do {                                               \
     if (::saufno::fault::enabled()) ::saufno::fault::point(site); \

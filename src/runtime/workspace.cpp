@@ -1,5 +1,7 @@
 #include "runtime/workspace.h"
 
+#include <sys/mman.h>
+
 #include <cstdint>
 #include <new>
 #include <utility>
@@ -22,6 +24,36 @@ constexpr std::size_t kMaxBlocksPerBucket = 16;
 // Per-thread retention budget: past this, released blocks go back to the
 // heap instead of ratcheting a thread's RSS forever.
 constexpr int64_t kMaxCachedBytesPerThread = int64_t{512} << 20;
+
+// Blocks from this size up are mapped straight from the OS rather than
+// taken from the malloc heap. A cached block lives as long as its thread;
+// carved from the heap (where glibc puts even large requests once its
+// dynamic mmap threshold has risen), it pins every freed page below it, and
+// a long-lived serving process then keeps tens of MB of freed heap
+// resident. 128 KB is glibc's own initial mmap threshold. Under
+// AddressSanitizer every block stays a heap block, so it keeps its
+// redzones and an overrun of scratch is still reported.
+#if defined(__SANITIZE_ADDRESS__)
+constexpr std::size_t kMapBytes = ~std::size_t{0};
+#else
+constexpr std::size_t kMapBytes = std::size_t{1} << 17;
+#endif
+
+void* block_alloc(std::size_t bytes) {
+  if (bytes < kMapBytes) return ::operator new(bytes);
+  void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  return p;
+}
+
+void block_free(void* p, std::size_t bytes) {
+  if (bytes < kMapBytes) {
+    ::operator delete(p);
+  } else {
+    munmap(p, bytes);
+  }
+}
 
 /// Bucket index for a request, or -1 when the size bypasses the cache.
 int bucket_of(std::size_t bytes) {
@@ -49,8 +81,10 @@ struct ThreadArena {
   int64_t bytes_cached = 0;
 
   ~ThreadArena() {
-    for (auto& list : lists) {
-      for (void* p : list) ::operator delete(p);
+    for (int b = 0; b < kNumBuckets; ++b) {
+      for (void* p : lists[b]) {
+        block_free(p, std::size_t{1} << (b + kMinBucketLog2));
+      }
     }
   }
 };
@@ -103,7 +137,7 @@ void* arena_acquire(std::size_t bytes) {
     }
   }
   m.misses.add();
-  return ::operator new(b >= 0 ? std::size_t{1} << b : bytes);
+  return block_alloc(b >= 0 ? std::size_t{1} << b : bytes);
 }
 
 void arena_release(void* p, std::size_t bytes) {
@@ -120,7 +154,7 @@ void arena_release(void* p, std::size_t bytes) {
       return;
     }
   }
-  ::operator delete(p);
+  block_free(p, b >= 0 ? std::size_t{1} << b : bytes);
 }
 
 }  // namespace runtime

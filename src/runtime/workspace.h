@@ -15,9 +15,11 @@ namespace runtime {
 ///   calls the system allocator.
 /// - Scratch is the only caller, so a block is released on the thread that
 ///   acquired it. A release on another thread is still safe: the block
-///   joins that thread's freelist (or the heap, once the freelist is full).
+///   joins that thread's freelist (or is freed, once the freelist is full).
+/// - Blocks of 128 KB and up are mapped from the OS, not carved from the
+///   malloc heap, so a long-lived cached block never pins freed heap pages.
 /// - Acquisitions are counted in obs: `arena.hits` (served from a cached
-///   block) and `arena.misses` (had to touch the heap).
+///   block) and `arena.misses` (had to allocate).
 /// - Returned memory is UNINITIALIZED — callers that need zeros must clear
 ///   it themselves (Scratch::zero()).
 /// - Determinism: buffer identity never feeds into numerics, so arena reuse

@@ -19,22 +19,24 @@ namespace {
 // K-block: one packed B panel slice (KC*NR floats = 32 KB) stays L2-resident
 // while every row panel of a chunk streams over it.
 constexpr int64_t kMR = 6;
-constexpr int64_t kNR = 16;
+constexpr int64_t kNR = kGemmPanelCols;
 constexpr int64_t kKC = 512;
 
-// --- microkernel: tile[MR][NR] = Ap(kc x MR) * Bp(kc x NR) -----------------
+// --- microkernel: C[MR][NR] (+)= Ap(kc x MR) * Bp(kc x NR) ----------------
 //
 // Ap is kk-major with MR consecutive rows per k step; Bp is kk-major with NR
 // consecutive columns. Per output element the additions form a single
 // mul-add chain in kk order, independent of where the tile sits in the
 // matrix, of zero-padding in dead lanes, and of which thread runs it — the
 // load-bearing fact behind bit-identical C for every SAUFNO_NUM_THREADS.
-// There is deliberately NO zero-skip branch: x*0 participates in the chain,
-// so NaN/Inf in either operand propagates exactly as IEEE demands, and the
-// inner loop stays branch-free for the vectorizer.
+// The finished chain is then stored into C (row stride ldc) or added to
+// it: that is the fold of one K block. There is deliberately NO zero-skip
+// branch: x*0 participates in the chain, so NaN/Inf in either operand
+// propagates exactly as IEEE demands, and the inner loop stays branch-free
+// for the vectorizer.
 
 void micro_kernel_scalar(int64_t kc, const float* ap, const float* bp,
-                         float* tile) {
+                         float* c, int64_t ldc, bool assign) {
   float acc[kMR * kNR] = {};
   for (int64_t kk = 0; kk < kc; ++kk, ap += kMR, bp += kNR) {
     for (int64_t r = 0; r < kMR; ++r) {
@@ -43,14 +45,22 @@ void micro_kernel_scalar(int64_t kc, const float* ap, const float* bp,
       for (int64_t j = 0; j < kNR; ++j) acc[r * kNR + j] += a * bp[j];
     }
   }
-  std::memcpy(tile, acc, sizeof(acc));
+  for (int64_t r = 0; r < kMR; ++r) {
+    float* crow = c + r * ldc;
+    const float* arow = acc + r * kNR;
+    if (assign) {
+      std::memcpy(crow, arow, sizeof(float) * kNR);
+    } else {
+      SAUFNO_IVDEP
+      for (int64_t j = 0; j < kNR; ++j) crow[j] += arow[j];
+    }
+  }
 }
 
 #if SAUFNO_X86_DISPATCH
-__attribute__((target("avx2,fma"))) void micro_kernel_avx2(int64_t kc,
-                                                           const float* ap,
-                                                           const float* bp,
-                                                           float* tile) {
+__attribute__((target("avx2,fma"))) void micro_kernel_avx2(
+    int64_t kc, const float* ap, const float* bp, float* c, int64_t ldc,
+    bool assign) {
   __m256 acc[kMR][2];
   for (int64_t r = 0; r < kMR; ++r) {
     acc[r][0] = _mm256_setzero_ps();
@@ -66,13 +76,19 @@ __attribute__((target("avx2,fma"))) void micro_kernel_avx2(int64_t kc,
     }
   }
   for (int64_t r = 0; r < kMR; ++r) {
-    _mm256_storeu_ps(tile + r * kNR, acc[r][0]);
-    _mm256_storeu_ps(tile + r * kNR + 8, acc[r][1]);
+    float* crow = c + r * ldc;
+    if (!assign) {
+      acc[r][0] = _mm256_add_ps(_mm256_loadu_ps(crow), acc[r][0]);
+      acc[r][1] = _mm256_add_ps(_mm256_loadu_ps(crow + 8), acc[r][1]);
+    }
+    _mm256_storeu_ps(crow, acc[r][0]);
+    _mm256_storeu_ps(crow + 8, acc[r][1]);
   }
 }
 #endif
 
-using MicroKernelFn = void (*)(int64_t, const float*, const float*, float*);
+using MicroKernelFn = void (*)(int64_t, const float*, const float*, float*,
+                               int64_t, bool);
 
 MicroKernelFn pick_micro_kernel() {
 #if SAUFNO_X86_DISPATCH
@@ -81,31 +97,12 @@ MicroKernelFn pick_micro_kernel() {
   return micro_kernel_scalar;
 }
 
-// Pack B[k x n] into NR-wide column panels, layout [panel][kk][NR], dead
-// columns zero-filled. Pure data movement, so the parallel split over
-// panels cannot perturb numerics.
-void pack_b(const float* b, float* bp, int64_t k, int64_t n) {
-  const int64_t npanels = (n + kNR - 1) / kNR;
-  runtime::parallel_for(0, npanels, 1, [&](int64_t p0, int64_t p1) {
-    for (int64_t p = p0; p < p1; ++p) {
-      const int64_t j0 = p * kNR;
-      const int64_t jw = std::min(kNR, n - j0);
-      float* dst = bp + p * k * kNR;
-      const float* src = b + j0;
-      for (int64_t kk = 0; kk < k; ++kk, dst += kNR, src += n) {
-        for (int64_t j = 0; j < jw; ++j) dst[j] = src[j];
-        for (int64_t j = jw; j < kNR; ++j) dst[j] = 0.f;
-      }
-    }
-  });
-}
-
-// Pack rows [i0, i0+mr) of A into one MR-tall panel, layout [kk][MR], dead
-// rows zero-filled.
-void pack_a_panel(const float* a, float* panel, int64_t i0, int64_t mr,
-                  int64_t k) {
+// Pack rows [0, mr) of A into one MR-tall panel, layout [kk][MR], dead rows
+// zero-filled.
+void pack_a_panel(const float* a, int64_t lda, int64_t mr, int64_t k,
+                  float* panel) {
   for (int64_t r = 0; r < mr; ++r) {
-    const float* src = a + (i0 + r) * k;
+    const float* src = a + r * lda;
     float* dst = panel + r;
     for (int64_t kk = 0; kk < k; ++kk) dst[kk * kMR] = src[kk];
   }
@@ -115,69 +112,169 @@ void pack_a_panel(const float* a, float* panel, int64_t i0, int64_t mr,
   }
 }
 
-void gemm_blocked(const float* a, const float* b, float* c, int64_t m,
-                  int64_t n, int64_t k, bool accumulate) {
+// Transpose-pack rows [0, jw) of S [.., k] into one panel, layout
+// [kk][NR], dead columns zero-filled. Walks S in 8-column strips, so each
+// strip's NR source rows stay in L1 while the panel fills 8 rows at a time.
+void pack_bt_panel(const float* s, int64_t lds, int64_t jw, int64_t k,
+                   float* dst) {
+  for (int64_t kk = 0; kk < k; kk += 8) {
+    const int64_t kw = std::min<int64_t>(8, k - kk);
+    for (int64_t j = 0; j < kNR; ++j) {
+      const float* src = s + j * lds + kk;
+      for (int64_t t = 0; t < kw; ++t) {
+        dst[(kk + t) * kNR + j] = j < jw ? src[t] : 0.f;
+      }
+    }
+  }
+}
+
+#if SAUFNO_X86_DISPATCH
+__attribute__((target("avx2"))) void pack_bt_panel_avx2(const float* s,
+                                                        int64_t lds,
+                                                        int64_t k,
+                                                        float* dst) {
+  int64_t kk = 0;
+  for (; kk + 8 <= k; kk += 8) {
+    // Two 8x8 blocks (panel rows 0-7 and 8-15): unpack pairs, shuffle
+    // quads, then swap 128-bit halves — the standard register transpose.
+    for (int64_t h = 0; h < 2; ++h) {
+      const float* src = s + h * 8 * lds + kk;
+      __m256 r[8], t[8];
+      for (int64_t j = 0; j < 8; ++j) r[j] = _mm256_loadu_ps(src + j * lds);
+      for (int64_t j = 0; j < 8; j += 2) {
+        t[j] = _mm256_unpacklo_ps(r[j], r[j + 1]);
+        t[j + 1] = _mm256_unpackhi_ps(r[j], r[j + 1]);
+      }
+      for (int64_t j = 0; j < 8; j += 4) {
+        r[j] = _mm256_shuffle_ps(t[j], t[j + 2], _MM_SHUFFLE(1, 0, 1, 0));
+        r[j + 1] = _mm256_shuffle_ps(t[j], t[j + 2], _MM_SHUFFLE(3, 2, 3, 2));
+        r[j + 2] =
+            _mm256_shuffle_ps(t[j + 1], t[j + 3], _MM_SHUFFLE(1, 0, 1, 0));
+        r[j + 3] =
+            _mm256_shuffle_ps(t[j + 1], t[j + 3], _MM_SHUFFLE(3, 2, 3, 2));
+      }
+      float* d = dst + kk * kNR + h * 8;
+      for (int64_t j = 0; j < 4; ++j) {
+        _mm256_storeu_ps(d + j * kNR,
+                         _mm256_permute2f128_ps(r[j], r[j + 4], 0x20));
+        _mm256_storeu_ps(d + (j + 4) * kNR,
+                         _mm256_permute2f128_ps(r[j], r[j + 4], 0x31));
+      }
+    }
+  }
+  pack_bt_panel(s + kk, lds, kNR, k - kk, dst + kk * kNR);
+}
+#endif
+
+}  // namespace
+
+int64_t gemm_packed_a_floats(int64_t m, int64_t k) {
+  return (m + kMR - 1) / kMR * k * kMR;
+}
+
+int64_t gemm_packed_b_floats(int64_t k, int64_t n) {
+  return (n + kNR - 1) / kNR * k * kNR;
+}
+
+void gemm_pack_a(const float* a, int64_t lda, int64_t m, int64_t k,
+                 float* ap) {
+  for (int64_t i0 = 0; i0 < m; i0 += kMR, ap += k * kMR) {
+    pack_a_panel(a + i0 * lda, lda, std::min(kMR, m - i0), k, ap);
+  }
+}
+
+void gemm_pack_b(const float* b, int64_t ldb, int64_t k, int64_t n,
+                 float* bp) {
+  for (int64_t j0 = 0; j0 < n; j0 += kNR) {
+    const int64_t jw = std::min(kNR, n - j0);
+    const float* src = b + j0;
+    for (int64_t kk = 0; kk < k; ++kk, bp += kNR, src += ldb) {
+      for (int64_t j = 0; j < jw; ++j) bp[j] = src[j];
+      for (int64_t j = jw; j < kNR; ++j) bp[j] = 0.f;
+    }
+  }
+}
+
+void gemm_pack_bt(const float* s, int64_t lds, int64_t n, int64_t k,
+                  float* bp) {
+#if SAUFNO_X86_DISPATCH
+  const bool avx2 = simd::level() == simd::Level::kAvx2;
+#endif
+  for (int64_t j0 = 0; j0 < n; j0 += kNR, bp += k * kNR) {
+    const int64_t jw = std::min(kNR, n - j0);
+#if SAUFNO_X86_DISPATCH
+    if (avx2 && jw == kNR) {
+      pack_bt_panel_avx2(s + j0 * lds, lds, k, bp);
+      continue;
+    }
+#endif
+    pack_bt_panel(s + j0 * lds, lds, jw, k, bp);
+  }
+}
+
+void gemm_packed(const float* ap, const float* bp, float* c, int64_t ldc,
+                 int64_t m, int64_t n, int64_t k, bool accumulate) {
   const MicroKernelFn micro = pick_micro_kernel();
   const int64_t npanels = (n + kNR - 1) / kNR;
-
-  // B is packed once into workspace-arena scratch and then read-only; every
-  // row chunk below shares it.
-  runtime::Scratch<float> bpack(static_cast<std::size_t>(npanels * k * kNR));
-  pack_b(b, bpack.data(), k, n);
-
-  // Row-chunk grain: MR-aligned, sized so a chunk's packed A slab stays
-  // ~128 KB, but small enough that short-m gemms (conv's cout x plane) still
-  // split across threads. Grain depends only on the shape — never on the
-  // thread count — so chunk boundaries (and C) are reproducible.
-  int64_t grain = 32768 / std::max<int64_t>(1, k);
-  grain = std::min(grain, (m + 7) / 8);
-  grain = std::max<int64_t>(kMR, (grain / kMR) * kMR);
-
-  runtime::parallel_for(0, m, grain, [&](int64_t r0, int64_t r1) {
-    const int64_t rows = r1 - r0;
-    const int64_t rpanels = (rows + kMR - 1) / kMR;
-    runtime::Scratch<float> apack(
-        static_cast<std::size_t>(rpanels * k * kMR));
-    for (int64_t rp = 0; rp < rpanels; ++rp) {
-      const int64_t i0 = r0 + rp * kMR;
-      pack_a_panel(a, apack.data() + rp * k * kMR, i0,
-                   std::min(kMR, r1 - i0), k);
+  const int64_t rpanels = (m + kMR - 1) / kMR;
+  if (k <= 0 && !accumulate) {  // empty contraction: C = 0
+    for (int64_t i = 0; i < m; ++i) {
+      std::memset(c + i * ldc, 0, sizeof(float) * static_cast<std::size_t>(n));
     }
-    alignas(32) float tile[kMR * kNR];
-    // K-blocked accumulation: partial tiles are folded into C in fixed pc
-    // order, so the per-element rounding sequence is the same for every
-    // chunking and thread count.
-    for (int64_t pc = 0; pc < k; pc += kKC) {
-      const int64_t kc = std::min(kKC, k - pc);
-      const bool assign = (pc == 0) && !accumulate;
-      for (int64_t p = 0; p < npanels; ++p) {
-        const float* bpanel = bpack.data() + (p * k + pc) * kNR;
-        const int64_t j0 = p * kNR;
-        const int64_t jw = std::min(kNR, n - j0);
-        for (int64_t rp = 0; rp < rpanels; ++rp) {
-          micro(kc, apack.data() + (rp * k + pc) * kMR, bpanel, tile);
-          const int64_t i0 = r0 + rp * kMR;
-          const int64_t mr = std::min(kMR, r1 - i0);
-          for (int64_t r = 0; r < mr; ++r) {
-            float* crow = c + (i0 + r) * n + j0;
-            const float* trow = tile + r * kNR;
-            if (assign) {
-              for (int64_t j = 0; j < jw; ++j) crow[j] = trow[j];
-            } else {
-              SAUFNO_IVDEP
-              for (int64_t j = 0; j < jw; ++j) crow[j] += trow[j];
-            }
+  }
+  alignas(32) float tile[kMR * kNR];
+  // K-blocked accumulation: partial tiles are folded into C in fixed pc
+  // order, so the per-element rounding sequence is the same for every
+  // chunking and thread count.
+  for (int64_t pc = 0; pc < k; pc += kKC) {
+    const int64_t kc = std::min(kKC, k - pc);
+    const bool assign = (pc == 0) && !accumulate;
+    for (int64_t p = 0; p < npanels; ++p) {
+      const float* bpanel = bp + (p * k + pc) * kNR;
+      const int64_t j0 = p * kNR;
+      const int64_t jw = std::min(kNR, n - j0);
+      for (int64_t rp = 0; rp < rpanels; ++rp) {
+        const float* apanel = ap + (rp * k + pc) * kMR;
+        const int64_t i0 = rp * kMR;
+        const int64_t mr = std::min(kMR, m - i0);
+        if (mr == kMR && jw == kNR) {
+          micro(kc, apanel, bpanel, c + i0 * ldc + j0, ldc, assign);
+          continue;
+        }
+        // Edge tile: run the full tile into a buffer, fold its live part.
+        micro(kc, apanel, bpanel, tile, kNR, /*assign=*/true);
+        for (int64_t r = 0; r < mr; ++r) {
+          float* crow = c + (i0 + r) * ldc + j0;
+          const float* trow = tile + r * kNR;
+          if (assign) {
+            for (int64_t j = 0; j < jw; ++j) crow[j] = trow[j];
+          } else {
+            SAUFNO_IVDEP
+            for (int64_t j = 0; j < jw; ++j) crow[j] += trow[j];
           }
         }
       }
     }
-  });
+  }
 }
-
-}  // namespace
 
 void gemm(const float* a, const float* b, float* c, int64_t m, int64_t n,
           int64_t k, bool accumulate) {
+  // B is packed once into workspace-arena scratch and then read-only; every
+  // row chunk shares it. Packing is pure data movement, so the split over
+  // panels cannot perturb numerics.
+  const int64_t npanels = (m > 0 && k > 0) ? (n + kNR - 1) / kNR : 0;
+  runtime::Scratch<float> bpack(static_cast<std::size_t>(npanels * k * kNR));
+  runtime::parallel_for(0, npanels, 1, [&](int64_t p0, int64_t p1) {
+    const int64_t j0 = p0 * kNR;
+    gemm_pack_b(b + j0, n, k, std::min(n, p1 * kNR) - j0,
+                bpack.data() + p0 * k * kNR);
+  });
+  gemm_prepacked_b(a, bpack.data(), c, m, n, k, accumulate);
+}
+
+void gemm_prepacked_b(const float* a, const float* bp, float* c, int64_t m,
+                      int64_t n, int64_t k, bool accumulate) {
   SAUFNO_FAULT_POINT("gemm");
   // SAUFNO_PROFILE_KERNELS: time every gemm into the registry (and the
   // trace when one is live). Off by default — a relaxed load and a branch.
@@ -191,7 +288,21 @@ void gemm(const float* a, const float* b, float* c, int64_t m, int64_t n,
     }
     return;
   }
-  gemm_blocked(a, b, c, m, n, k, accumulate);
+
+  // Row-chunk grain: MR-aligned, sized so a chunk's packed A slab stays
+  // ~128 KB, but small enough that short-m gemms (conv's cout x plane) still
+  // split across threads. Grain depends only on the shape — never on the
+  // thread count — so chunk boundaries (and C) are reproducible.
+  int64_t grain = 32768 / std::max<int64_t>(1, k);
+  grain = std::min(grain, (m + 7) / 8);
+  grain = std::max<int64_t>(kMR, (grain / kMR) * kMR);
+
+  runtime::parallel_for(0, m, grain, [&](int64_t r0, int64_t r1) {
+    runtime::Scratch<float> apack(
+        static_cast<std::size_t>(gemm_packed_a_floats(r1 - r0, k)));
+    gemm_pack_a(a + r0 * k, k, r1 - r0, k, apack.data());
+    gemm_packed(apack.data(), bp, c + r0 * n, n, r1 - r0, n, k, accumulate);
+  });
 }
 
 void im2col(const float* img, float* cols, int64_t c, int64_t h, int64_t w,
@@ -224,6 +335,41 @@ void im2col(const float* img, float* cols, int64_t c, int64_t h, int64_t w,
       }
     }
   }
+  });
+}
+
+void im2col_packed(const float* img, float* bp, int64_t c, int64_t h,
+                   int64_t w, int64_t kh, int64_t kw, int64_t stride,
+                   int64_t pad) {
+  const int64_t oh = conv_out_size(h, kh, stride, pad);
+  const int64_t ow = conv_out_size(w, kw, stride, pad);
+  const int64_t plane = oh * ow;
+  const int64_t ck = c * kh * kw;
+  const int64_t padded = (plane + kNR - 1) / kNR * kNR;
+  // Column `col` of row kk lives at bp[(col / NR * ck + kk) * NR + col % NR].
+  // Channels own disjoint rows kk, as in im2col.
+  runtime::parallel_for(0, c, 1, [&](int64_t c0, int64_t c1) {
+    for (int64_t ci = c0; ci < c1; ++ci) {
+      const float* src = img + ci * h * w;
+      for (int64_t ki = 0; ki < kh; ++ki) {
+        for (int64_t kj = 0; kj < kw; ++kj) {
+          float* row = bp + ((ci * kh + ki) * kw + kj) * kNR;
+          int64_t col = 0;
+          for (int64_t oi = 0; oi < oh; ++oi) {
+            const int64_t ii = oi * stride + ki - pad;
+            const bool in_rows = ii >= 0 && ii < h;
+            for (int64_t oj = 0; oj < ow; ++oj, ++col) {
+              const int64_t jj = oj * stride + kj - pad;
+              row[col / kNR * ck * kNR + col % kNR] =
+                  (in_rows && jj >= 0 && jj < w) ? src[ii * w + jj] : 0.f;
+            }
+          }
+          for (; col < padded; ++col) {
+            row[col / kNR * ck * kNR + col % kNR] = 0.f;
+          }
+        }
+      }
+    }
   });
 }
 

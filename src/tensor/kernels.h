@@ -6,22 +6,80 @@ namespace saufno {
 
 /// Row-major sgemm: C[M,N] (+)= A[M,K] * B[K,N].
 ///
-/// Packed, cache-blocked implementation: A row panels and B column panels
-/// are packed into workspace-arena scratch, then an MR x NR register-tiled
-/// microkernel (AVX2+FMA when the CPU has it — see tensor/simd.h — with a
-/// portable auto-vectorizable body otherwise) runs K-blocked over the
-/// panels. Dense and branch-free: NaN/Inf in either operand propagates per
-/// IEEE (no data-dependent zero-skip). Row-block partitioning with a
+/// Packed, cache-blocked implementation: B is packed once into NR-wide
+/// column panels (gemm_pack_b), then gemm_prepacked_b runs a parallel_for
+/// over MR-aligned row chunks that each pack their rows of A (gemm_pack_a)
+/// and run the serial tile loop gemm_packed on them: an MR x NR register-tiled microkernel
+/// (AVX2+FMA when the CPU has it — see tensor/simd.h — with a portable
+/// auto-vectorizable body otherwise) K-blocked over the panels. Dense and
+/// branch-free: NaN/Inf in either operand propagates per IEEE (no
+/// data-dependent zero-skip). Row-block partitioning with a
 /// thread-count-independent grain keeps C bit-identical for every
 /// SAUFNO_NUM_THREADS.
 void gemm(const float* a, const float* b, float* c, int64_t m, int64_t n,
           int64_t k, bool accumulate);
+
+// --- packed operands ----------------------------------------------------
+//
+// The pieces gemm() is built from, for callers that reuse one packed
+// operand across many products (the fused attention kernel packs each
+// batch item's K and V once per call). All are serial. Each element of
+// gemm_packed's C is one mul-add chain over k in fixed order — K blocks of
+// 512 folded into C in order, never reordered by the panel geometry, the
+// caller's row split or the thread — so any product assembled from these
+// pieces is bit-identical to the same product through gemm().
+
+/// Columns per packed-B panel (the microkernel's NR): panel p of a packed
+/// B [k, n] holds columns 16p..16p+15 in k * 16 consecutive floats.
+constexpr int64_t kGemmPanelCols = 16;
+
+/// Floats a packed A [m, k] occupies: ceil(m / 6) row panels of k x 6.
+int64_t gemm_packed_a_floats(int64_t m, int64_t k);
+
+/// Floats a packed B [k, n] occupies: ceil(n / 16) column panels of k x 16.
+int64_t gemm_packed_b_floats(int64_t k, int64_t n);
+
+/// Packs A [m, k] (row stride lda) into 6-row panels, layout
+/// [panel][kk][6], dead rows of the last panel zero-filled.
+void gemm_pack_a(const float* a, int64_t lda, int64_t m, int64_t k,
+                 float* ap);
+
+/// Packs B [k, n] (row stride ldb) into 16-column panels, layout
+/// [panel][kk][16], dead columns of the last panel zero-filled.
+void gemm_pack_b(const float* b, int64_t ldb, int64_t k, int64_t n,
+                 float* bp);
+
+/// Packs B = Sᵀ, given S [n, k] (row stride lds), into the gemm_pack_b
+/// layout: panel p holds rows 16p..16p+15 of S, transposed through 8x8
+/// register blocks rather than a stride-16 scatter. Pure data movement,
+/// so the packed bits equal gemm_pack_b of a materialized Sᵀ.
+void gemm_pack_bt(const float* s, int64_t lds, int64_t n, int64_t k,
+                  float* bp);
+
+/// gemm() after its B pack: C[m, n] (+)= A[m, k] * B with B already in the
+/// gemm_pack_b layout (for example from im2col_packed), parallel over the
+/// same row chunks, so the result is bit-identical to gemm().
+void gemm_prepacked_b(const float* a, const float* bp, float* c, int64_t m,
+                      int64_t n, int64_t k, bool accumulate);
+
+/// Serial tile loop: C[m, n] (row stride ldc) (+)= A * B from
+/// gemm_pack_a(.., m, k, ap) and gemm_pack_b/gemm_pack_bt(.., k, n, bp).
+void gemm_packed(const float* ap, const float* bp, float* c, int64_t ldc,
+                 int64_t m, int64_t n, int64_t k, bool accumulate);
 
 /// im2col for 2-D convolution with square stride-1 semantics generalized to
 /// arbitrary stride/padding. Input is one image [C, H, W]; the column buffer
 /// is [C*kh*kw, out_h*out_w] row-major so that conv = weight-matrix * cols.
 void im2col(const float* img, float* cols, int64_t c, int64_t h, int64_t w,
             int64_t kh, int64_t kw, int64_t stride, int64_t pad);
+
+/// im2col written straight into the gemm_pack_b layout of the column
+/// buffer (B = cols [C*kh*kw, out_h*out_w]): the same bits as im2col then
+/// gemm_pack_b, without the unpacked buffer. bp holds
+/// gemm_packed_b_floats(C*kh*kw, out_h*out_w) floats.
+void im2col_packed(const float* img, float* bp, int64_t c, int64_t h,
+                   int64_t w, int64_t kh, int64_t kw, int64_t stride,
+                   int64_t pad);
 
 /// Adjoint of im2col: scatter-add a column buffer back into an image
 /// gradient of shape [C, H, W] (must be pre-zeroed by the caller).

@@ -166,7 +166,10 @@ inline float exp_poly_portable(float x) {
   y = y * r + kExpP4;
   y = y * r + kExpP5;
   y = y * z + r + 1.0f;
-  const std::int32_t e = (static_cast<std::int32_t>(n) + 127) << 23;
+  // A NaN x leaves n NaN, whose conversion to int is undefined; y is NaN
+  // already, so any finite scale returns it.
+  const std::int32_t e =
+      ((n == n ? static_cast<std::int32_t>(n) : 0) + 127) << 23;
   float two_n;
   std::memcpy(&two_n, &e, sizeof(two_n));
   return y * two_n;
@@ -193,11 +196,7 @@ __attribute__((target("avx2,fma"))) inline __m256 exp_poly_avx2(__m256 x) {
   y = _mm256_fmadd_ps(y, r, _mm256_set1_ps(kExpP5));
   y = _mm256_fmadd_ps(y, z, _mm256_add_ps(r, _mm256_set1_ps(1.0f)));
   const __m256i e = _mm256_slli_epi32(
-      _mm256_add_epi32(_mm256_cvtps_epi32(
-                           _mm256_round_ps(n, _MM_FROUND_TO_NEAREST_INT |
-                                                  _MM_FROUND_NO_EXC)),
-                       _mm256_set1_epi32(127)),
-      23);
+      _mm256_add_epi32(_mm256_cvtps_epi32(n), _mm256_set1_epi32(127)), 23);
   return _mm256_mul_ps(y, _mm256_castsi256_ps(e));
 }
 
@@ -241,6 +240,39 @@ __attribute__((target("avx2,fma"))) inline void vexp_avx2(const float* in,
 }
 #endif
 
+/// The fixed sum order of vexp_sum: lanes[j] holds the double sum of the
+/// elements i = j (mod 8) in increasing i; the lanes then add left to right.
+inline double sum_lanes(const double* lanes) {
+  double s = lanes[0];
+  for (int j = 1; j < 8; ++j) s += lanes[j];
+  return s;
+}
+
+#if SAUFNO_X86_DISPATCH
+__attribute__((target("avx2,fma"))) inline double vexp_sum_avx2(
+    const float* in, float bias, float* out, int64_t n) {
+  const __m256 vb = _mm256_set1_ps(bias);
+  __m256d lo = _mm256_setzero_pd();  // lanes 0-3
+  __m256d hi = _mm256_setzero_pd();  // lanes 4-7
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 e =
+        exp_poly_avx2(_mm256_sub_ps(_mm256_loadu_ps(in + i), vb));
+    _mm256_storeu_ps(out + i, e);
+    lo = _mm256_add_pd(lo, _mm256_cvtps_pd(_mm256_castps256_ps128(e)));
+    hi = _mm256_add_pd(hi, _mm256_cvtps_pd(_mm256_extractf128_ps(e, 1)));
+  }
+  alignas(32) double lanes[8];
+  _mm256_store_pd(lanes, lo);
+  _mm256_store_pd(lanes + 4, hi);
+  for (int j = 0; i < n; ++i, ++j) {
+    out[i] = exp_poly_fma_scalar(in[i] - bias);
+    lanes[j] += out[i];
+  }
+  return sum_lanes(lanes);
+}
+#endif
+
 /// out[i] = exp(in[i] - bias) over [0, n). `bias` is the softmax max-shift
 /// (pass 0 for a plain exp sweep); folding it here keeps the subtraction in
 /// the same instruction stream at both SIMD levels.
@@ -252,6 +284,29 @@ inline void vexp(const float* in, float bias, float* out, int64_t n) {
   }
 #endif
   for (int64_t i = 0; i < n; ++i) out[i] = exp_poly_portable(in[i] - bias);
+}
+
+/// vexp(in, bias, out, n), returning the double sum of the out values in
+/// the fixed 8-lane order of sum_lanes. Eight independent add chains keep
+/// the sum off the add-latency critical path, and the order is the same at
+/// both SIMD levels and for every thread count.
+inline double vexp_sum(const float* in, float bias, float* out, int64_t n) {
+#if SAUFNO_X86_DISPATCH
+  if (level() == Level::kAvx2) return vexp_sum_avx2(in, bias, out, n);
+#endif
+  double lanes[8] = {};
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    for (int j = 0; j < 8; ++j) {
+      out[i + j] = exp_poly_portable(in[i + j] - bias);
+      lanes[j] += out[i + j];
+    }
+  }
+  for (int j = 0; i < n; ++i, ++j) {
+    out[i] = exp_poly_portable(in[i] - bias);
+    lanes[j] += out[i];
+  }
+  return sum_lanes(lanes);
 }
 
 /// Single-element exp, bit-identical to the corresponding vexp lane at the

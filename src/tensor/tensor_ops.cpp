@@ -666,12 +666,11 @@ void softmax_row(const float* row, float* orow, int64_t n, bool scaled,
   }
   // Max, exp, and rescale run through the SIMD helpers (max is
   // associative, exp and scale are per-element, so lane order cannot
-  // change the result). The sum stays a scalar double accumulated in row
-  // order — that order is part of the determinism contract.
+  // change the result). The exps are summed in double during the exp
+  // sweep, in vexp_sum's fixed 8-lane order — that order is part of the
+  // determinism contract.
   const float mx = simd::reduce_max(row, n);
-  simd::vexp(row, mx, orow, n);
-  double s = 0.0;
-  for (int64_t i = 0; i < n; ++i) s += orow[i];
+  const double s = simd::vexp_sum(row, mx, orow, n);
   simd::scale(orow, n, static_cast<float>(1.0 / s));
 }
 
@@ -694,8 +693,9 @@ void softmax_rows_into(const Tensor& a, bool scaled, float scale,
   });
 }
 
-/// Query rows per attention block: the [kAttnRows, N] scores block is the
-/// only N-sized temporary (1 MB per lane at N = 4096).
+/// Query rows per attention block: the [kAttnRows, N] scores block plus one
+/// packed P^T panel slot is the only N-sized per-lane temporary (1.25 MB at
+/// N = 4096).
 constexpr int64_t kAttnRows = 64;
 
 }  // namespace
@@ -725,46 +725,62 @@ void attention_into(const Tensor& q, const Tensor& k, const Tensor& v,
   obs::KernelTimer prof_timer(prof_hist, "kernel.attention");
   if (batch == 0 || n == 0 || c == 0) return;
 
-  // V^T [batch, n, c], built once: the mix gemm below then reads it as its
-  // B operand, so each output element keeps the k (= key) order of
-  // bmm(v, permute(softmax, {0, 2, 1})).
-  runtime::Scratch<float> vt(static_cast<std::size_t>(batch * n * c));
-  const float* pv = v.data();
-  float* pvt = vt.data();
-  const int64_t grain =
-      std::max<int64_t>(1, kElemwiseGrain / std::max<int64_t>(1, c));
-  runtime::parallel_for(0, batch * n, grain, [&](int64_t r0, int64_t r1) {
-    for (int64_t r = r0; r < r1; ++r) {
-      const float* src = pv + (r / n) * c * n + r % n;
-      for (int64_t j = 0; j < c; ++j) pvt[r * c + j] = src[j * n];
+  // Each batch item's K (the B operand of the scores gemm) and V (the A
+  // operand of the mix gemm) is packed once per call and then shared
+  // read-only by all of that item's query blocks.
+  const int64_t kp_floats = gemm_packed_b_floats(d, n);
+  const int64_t vp_floats = gemm_packed_a_floats(c, n);
+  runtime::Scratch<float> kp(static_cast<std::size_t>(batch * kp_floats));
+  runtime::Scratch<float> vp(static_cast<std::size_t>(batch * vp_floats));
+  runtime::parallel_for(0, batch, 1, [&](int64_t b0, int64_t b1) {
+    for (int64_t b = b0; b < b1; ++b) {
+      gemm_pack_b(k.data() + b * d * n, n, d, n, kp.data() + b * kp_floats);
+      gemm_pack_a(v.data() + b * c * n, n, c, n, vp.data() + b * vp_floats);
     }
   });
 
-  // One chunk per (batch, query block). Each step is the composed chain's
-  // own kernel on a row subset — gemm never reorders the per-element k sum
-  // and the softmax is per row — so the result is bit-identical to
+  // One chunk per (batch, query block), both of its gemms serial. Each
+  // step is the composed chain's own arithmetic on a row subset: the
+  // scores are gemm(q, k)'s rows, the softmax is per row, and the mix is
+  // bmm(v, permute(P))'s own product V * P^T restricted to the block's
+  // output columns — every element one k-ordered chain, stored in place
+  // into [B, C, N]. So the result is bit-identical to
   // bmm -> scaled softmax -> permute -> bmm for every block size and thread
-  // count, with an O(kAttnRows * n) scores block instead of [batch, n, n].
+  // count, with O(kAttnRows * n) per-lane scratch instead of [batch, n, n].
+  //
+  // That scratch is one spare P^T panel slot followed by the
+  // [kAttnRows, n] scores block. Rows are normalized and packed one panel
+  // (kGemmPanelCols rows) at a time, group g into slot g: the spare slot
+  // for g = 0, then the spent scores rows of group g - 1. The packed P^T
+  // thus ends up contiguous at the front of the buffer without a second
+  // [kAttnRows, n] block.
   const int64_t blocks = (n + kAttnRows - 1) / kAttnRows;
+  const int64_t slot = gemm_packed_b_floats(n, kGemmPanelCols);
   runtime::parallel_for(0, batch * blocks, 1, [&](int64_t t0, int64_t t1) {
-    runtime::Scratch<float> scores(static_cast<std::size_t>(kAttnRows * n));
-    runtime::Scratch<float> tile(static_cast<std::size_t>(kAttnRows * c));
+    runtime::Scratch<float> qp(
+        static_cast<std::size_t>(gemm_packed_a_floats(kAttnRows, d)));
+    runtime::Scratch<float> buf(
+        static_cast<std::size_t>(slot + kAttnRows * n));
+    float* pt = buf.data();
+    float* scores = buf.data() + slot;
     for (int64_t t = t0; t < t1; ++t) {
       const int64_t b = t / blocks;
       const int64_t i0 = (t % blocks) * kAttnRows;
       const int64_t rows = std::min(kAttnRows, n - i0);
-      gemm(q.data() + (b * n + i0) * d, k.data() + b * d * n, scores.data(),
-           rows, n, d, /*accumulate=*/false);
-      for (int64_t r = 0; r < rows; ++r) {
-        float* row = scores.data() + r * n;
-        softmax_row(row, row, n, /*scaled=*/true, scale);
+      gemm_pack_a(q.data() + (b * n + i0) * d, d, rows, d, qp.data());
+      gemm_packed(qp.data(), kp.data() + b * kp_floats, scores, n, rows, n, d,
+                  /*accumulate=*/false);
+      for (int64_t r0 = 0; r0 < rows; r0 += kGemmPanelCols) {
+        const int64_t gr = std::min(kGemmPanelCols, rows - r0);
+        for (int64_t r = r0; r < r0 + gr; ++r) {
+          float* row = scores + r * n;
+          softmax_row(row, row, n, /*scaled=*/true, scale);
+        }
+        gemm_pack_bt(scores + r0 * n, n, gr, n,
+                     pt + r0 / kGemmPanelCols * slot);
       }
-      gemm(scores.data(), vt.data() + b * n * c, tile.data(), rows, c, n,
-           /*accumulate=*/false);
-      float* ob = out.data() + b * c * n + i0;
-      for (int64_t r = 0; r < rows; ++r) {
-        for (int64_t j = 0; j < c; ++j) ob[j * n + r] = tile.data()[r * c + j];
-      }
+      gemm_packed(vp.data() + b * vp_floats, pt, out.data() + b * c * n + i0,
+                  n, c, rows, n, /*accumulate=*/false);
     }
   });
 }

@@ -340,6 +340,25 @@ TEST(Fault, FirstNFiresExactlyNTimesThenGoesQuiet) {
   EXPECT_NO_THROW(fault::point("unit_test_site"));
 }
 
+TEST(Fault, ThrowCountIgnoresDelays) {
+  // A wildcard delay rule fires at every site; only the throws of the
+  // site's own rule reach injected_throw_count.
+  ASSERT_TRUE(fault::configure("delay:ms=0,unit_test_site:throw:n=1", 7));
+  for (int i = 0; i < 3; ++i) {
+    try {
+      fault::point("unit_test_site");
+    } catch (const fault::FaultInjectedError&) {
+    }
+  }
+  fault::point("other_site");
+  EXPECT_EQ(fault::injected_count("unit_test_site"), 4);  // 3 delays, 1 throw
+  EXPECT_EQ(fault::injected_throw_count("unit_test_site"), 1);
+  EXPECT_EQ(fault::injected_count("other_site"), 1);
+  EXPECT_EQ(fault::injected_throw_count("other_site"), 0);
+  fault::clear();
+  EXPECT_EQ(fault::injected_throw_count("unit_test_site"), 0);
+}
+
 TEST(Fault, ProbabilisticFiringIsDeterministicPerSeed) {
   auto run = [](std::uint64_t seed) {
     EXPECT_TRUE(fault::configure("unit_test_site:throw:p=0.3", seed));

@@ -173,27 +173,51 @@ Tensor composed_attention(const Tensor& q, const Tensor& k, const Tensor& v,
 
 TEST(PlanKernels, AttentionBitIdenticalToComposition) {
   // Query blocks are 64 rows: N = 1 and 7 are one partial block, 64 exactly
-  // one, 65 a full block plus a 1-row tail, 200 a non-dividing multiple.
+  // one, 65 a full block plus a 1-row tail, 200 a non-dividing multiple,
+  // and at N = 600 the mix product's k (the key count) crosses the
+  // 512-float K block, so its partial tiles are folded into the output.
+  // c = 12 is the zoo's SAU-FNO width (two full 6-row panels of packed V);
+  // c = 6 and 13 leave none and one dead panel row.
   auto& pool = runtime::ThreadPool::instance();
   const int restore = pool.num_threads();
-  const int64_t d = 5, c = 6;
   const float scale = 0.37f;
+  struct Dims {
+    int64_t d, c;
+  };
   for (const int threads : {1, 2, 8}) {
     pool.resize(threads);
-    for (const int64_t n : {1, 7, 64, 65, 200}) {
-      for (const int64_t b : {1, 3}) {
-        const std::string what = std::to_string(threads) + " threads, B=" +
-                                 std::to_string(b) + ", N=" +
-                                 std::to_string(n);
-        Rng rng(static_cast<std::uint64_t>(100 * n + b));
-        Tensor q = Tensor::randn({b, n, d}, rng);
-        Tensor k = Tensor::randn({b, d, n}, rng);
-        Tensor v = Tensor::randn({b, c, n}, rng);
-        Tensor out({b, c, n});
-        attention_into(q, k, v, scale, out);
-        expect_bitwise(out, composed_attention(q, k, v, scale), what);
+    for (const Dims dims : {Dims{5, 6}, Dims{12, 12}, Dims{12, 13}}) {
+      const int64_t d = dims.d, c = dims.c;
+      for (const int64_t n : {1, 7, 64, 65, 200, 600}) {
+        for (const int64_t b : {1, 3}) {
+          const std::string what =
+              std::to_string(threads) + " threads, B=" + std::to_string(b) +
+              ", N=" + std::to_string(n) + ", d=" + std::to_string(d) +
+              ", c=" + std::to_string(c);
+          Rng rng(static_cast<std::uint64_t>(100 * n + 10 * c + b));
+          Tensor q = Tensor::randn({b, n, d}, rng);
+          Tensor k = Tensor::randn({b, d, n}, rng);
+          Tensor v = Tensor::randn({b, c, n}, rng);
+          Tensor out({b, c, n});
+          attention_into(q, k, v, scale, out);
+          expect_bitwise(out, composed_attention(q, k, v, scale), what);
+        }
       }
     }
+    {
+      // Fewer (batch x block) chunks than pool lanes at 8 threads: 2 x 3
+      // chunks, each running both of its block gemms serially.
+      const int64_t b = 2, n = 130, d = 12, c = 13;
+      Rng rng(11);
+      Tensor q = Tensor::randn({b, n, d}, rng);
+      Tensor k = Tensor::randn({b, d, n}, rng);
+      Tensor v = Tensor::randn({b, c, n}, rng);
+      Tensor out({b, c, n});
+      attention_into(q, k, v, scale, out);
+      expect_bitwise(out, composed_attention(q, k, v, scale),
+                     "6 chunks, " + std::to_string(threads) + " threads");
+    }
+    const int64_t d = 5, c = 6;
     // A NaN in one key column of batch item 1 reaches every score row of
     // that item and no other: the fused kernel must turn exactly the
     // outputs the composition turns (memcmp compares the NaN bits too),

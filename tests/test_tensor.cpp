@@ -1,7 +1,10 @@
 #include "tensor/tensor.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -244,6 +247,50 @@ TEST(Softmax, RowsSumToOneAndStable) {
   EXPECT_NEAR(s.at(5), 1.f, 1e-5f);
 }
 
+TEST(Softmax, SumsExpsInFixedEightLaneOrder) {
+  // The documented order: lane j sums the exps of columns i = j (mod 8) in
+  // increasing i, in double, and the 8 lanes then add left to right. n is
+  // not a multiple of 8, so the scalar tail lands in lanes 0..2.
+  const int64_t rows = 3, n = 1003;
+  Rng rng(21);
+  Tensor a = mul_scalar(Tensor::randn({rows, n}, rng), 4.f);
+  Tensor s = softmax_lastdim(a);
+  std::vector<float> e(static_cast<std::size_t>(n)), want(e.size());
+  for (int64_t r = 0; r < rows; ++r) {
+    const float* row = a.data() + r * n;
+    float mx = row[0];
+    for (int64_t i = 1; i < n; ++i) mx = std::max(mx, row[i]);
+    simd::vexp(row, mx, e.data(), n);
+    double lanes[8] = {};
+    for (int64_t i = 0; i < n; ++i) lanes[i % 8] += e[static_cast<std::size_t>(i)];
+    double sum = 0.0;
+    for (const double lane : lanes) sum += lane;
+    const float inv = static_cast<float>(1.0 / sum);
+    for (int64_t i = 0; i < n; ++i) {
+      want[static_cast<std::size_t>(i)] = e[static_cast<std::size_t>(i)] * inv;
+    }
+    EXPECT_EQ(std::memcmp(s.data() + r * n, want.data(),
+                          sizeof(float) * static_cast<std::size_t>(n)),
+              0)
+        << "row " << r;
+    // vexp_sum returns that very double.
+    std::vector<float> out(e.size());
+    EXPECT_EQ(simd::vexp_sum(row, mx, out.data(), n), sum) << "row " << r;
+  }
+  // Exps of ~2^-56 around a single 1 at column 7: a row-order sum meets
+  // the 1 after 7 small terms and drops every one (each add is below half
+  // an ulp of 1), while lanes 0..6 gather 15 of them before the lanes add,
+  // enough to round the total up by one ulp.
+  std::vector<float> x(17, -56.f * std::log(2.f));
+  x[7] = 0.f;
+  std::vector<float> out(x.size());
+  double serial = 0.0;
+  simd::vexp(x.data(), 0.f, out.data(), 17);
+  for (const float v : out) serial += v;
+  EXPECT_EQ(serial, 1.0);
+  EXPECT_GT(simd::vexp_sum(x.data(), 0.f, out.data(), 17), 1.0);
+}
+
 TEST(Softmax, NanPropagatesAtDetectedSimdLevel) {
   // Runs at whatever level simd::level() picked, so on an AVX2 host this
   // covers the 8-wide sweep, its 1-lane tail and the single-element exp.
@@ -385,6 +432,53 @@ TEST(Im2Col, RoundTripAgainstDirectConvolution) {
   Tensor out({oh * ow});
   gemm(ker.data(), cols.data(), out.data(), 1, oh * ow, 4, false);
   EXPECT_TRUE(out.allclose(Tensor({4}, {6, 8, 12, 14})));
+}
+
+TEST(Im2Col, PackedMatchesIm2colThenPackB) {
+  // Planes of 221 and 63 columns leave dead lanes in the last 16-wide panel.
+  Rng rng(23);
+  const int64_t c = 5, h = 17, w = 13, kh = 3, kw = 3, cout = 7;
+  const Tensor img = Tensor::randn({c, h, w}, rng);
+  const Tensor wt = Tensor::randn({cout, c * kh * kw}, rng);
+  for (const auto& [stride, pad] : {std::pair<int64_t, int64_t>{1, 1},
+                                    std::pair<int64_t, int64_t>{2, 0}}) {
+    const int64_t plane = conv_out_size(h, kh, stride, pad) *
+                          conv_out_size(w, kw, stride, pad);
+    const int64_t ck = c * kh * kw;
+    Tensor cols({ck, plane});
+    im2col(img.data(), cols.data(), c, h, w, kh, kw, stride, pad);
+    std::vector<float> want(
+        static_cast<std::size_t>(gemm_packed_b_floats(ck, plane)));
+    std::vector<float> got(want.size(), -1.f);
+    gemm_pack_b(cols.data(), plane, ck, plane, want.data());
+    im2col_packed(img.data(), got.data(), c, h, w, kh, kw, stride, pad);
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), sizeof(float) * want.size()),
+              0)
+        << "stride " << stride;
+    Tensor out_ref({cout, plane}), out({cout, plane});
+    gemm(wt.data(), cols.data(), out_ref.data(), cout, plane, ck, false);
+    gemm_prepacked_b(wt.data(), got.data(), out.data(), cout, plane, ck,
+                     false);
+    EXPECT_EQ(std::memcmp(out.data(), out_ref.data(),
+                          sizeof(float) * static_cast<std::size_t>(out.numel())),
+              0)
+        << "stride " << stride;
+  }
+}
+
+TEST(Gemm, PackTransposedMatchesPackOfTranspose) {
+  // 37 rows: two full 16-row panels through the 8x8 transposes plus a
+  // 5-row tail; 45 columns: five 8-column blocks plus a 5-column tail.
+  Rng rng(29);
+  const int64_t n = 37, k = 45;
+  const Tensor s = Tensor::randn({n, k}, rng);
+  const Tensor st = transpose2d(s);
+  std::vector<float> want(static_cast<std::size_t>(gemm_packed_b_floats(k, n)));
+  std::vector<float> got(want.size(), -1.f);
+  gemm_pack_b(st.data(), n, k, n, want.data());
+  gemm_pack_bt(s.data(), k, n, k, got.data());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), sizeof(float) * want.size()),
+            0);
 }
 
 // Property sweep: resize adjoint identity across a grid of sizes.
