@@ -1,7 +1,8 @@
 // Kernel-core benchmark: the packed/SIMD-blocked gemm against a byte-level
 // preserved copy of the seed scalar kernel (gemm_seed_reference), across the
 // matrix shapes the zoo models actually hit at serving scale (B=8, C=32,
-// 64x64 grids), plus the end-to-end SAU-FNO forward rate.
+// 64x64 grids). The end-to-end forward rate is perfbench's sweep_64
+// throughput_per_s, so it is not repeated here.
 //
 // The attention_block rows time the fused row-blocked attention kernel
 // (attention_into) against the composed chain it replaced (bmm -> scaled
@@ -11,8 +12,8 @@
 //
 // Also times the compiled-execution-plan forward (plan::PlanRunner) against
 // the define-by-run interpreter on the same weights and input: the two are
-// bit-identical by construction, so the delta is pure dispatch/fusion/arena
-// win.
+// bit-identical by construction and run the same fused kernels, so the
+// delta is pure dispatch/arena win.
 //
 // Results are printed AND written to BENCH_kernels.json so the performance
 // trajectory is machine-trackable across PRs. `--smoke` (or SAUFNO_SMOKE=1)
@@ -30,7 +31,6 @@
 #include <vector>
 
 #include "../tests/gemm_seed_reference.h"
-#include "autograd/variable.h"
 #include "common/json_writer.h"
 #include "common/rng.h"
 #include "common/timer.h"
@@ -165,33 +165,6 @@ AttentionBench bench_attention(int64_t batch, int64_t n, int64_t c,
   return r;
 }
 
-/// End-to-end SAU-FNO forward (conv + attention + pointwise + spectral
-/// layers); returns forwards per second.
-double bench_end_to_end(bool smoke) {
-  const int64_t B = smoke ? 2 : 8;
-  const int64_t H = smoke ? 16 : 64, W = H;
-  const int64_t cin = 3, cout = 1;
-  auto model = train::make_model(smoke ? "SAU-FNO-micro" : "SAU-FNO", cin,
-                                 cout, /*seed=*/7);
-  model->set_training(false);
-  Rng rng(11);
-  Tensor x = Tensor::randn({B, cin, H, W}, rng);
-  const int iters = smoke ? 2 : 5;
-
-  NoGradGuard no_grad;
-  auto forward = [&] { (void)model->forward(Var(x)); };
-  // Warm FFT plans and the per-thread workspace freelists of every thread
-  // the forward runs on, so the loop times steady state.
-  forward();
-
-  const double sec = time_per_call(iters, forward);
-  std::printf("\nend-to-end forward (B=%lld, %lldx%lld): %.2f ms  "
-              "(%.2f fwd/s)\n",
-              static_cast<long long>(B), static_cast<long long>(H),
-              static_cast<long long>(W), sec * 1e3, 1.0 / sec);
-  return 1.0 / sec;
-}
-
 struct PlanBench {
   double compile_ms = 0.0;
   double speedup = 0.0;  // interpreted sec/call over plan sec/call
@@ -200,7 +173,7 @@ struct PlanBench {
   int64_t folded_ops = 0;
   // Per-phase split of the compile from PlanRunner::last_compile_breakdown:
   // trace (the recorded forward — the dominant term), lower (graph
-  // extraction), passes (fusion/liveness/arena/leveling).
+  // extraction), passes (folding/liveness/arena/leveling).
   double compile_trace_ms = 0.0;
   double compile_lower_ms = 0.0;
   double compile_passes_ms = 0.0;
@@ -208,8 +181,8 @@ struct PlanBench {
 
 /// Compiled plan vs interpreter on the same model/input. The outputs are
 /// bit-identical (tests/test_plan.cpp proves it), so this only measures the
-/// fused-dispatch win. Compile cost is reported as first-call time minus a
-/// steady-state call, i.e. what one cache miss actually adds to a request.
+/// dispatch and arena win. Compile cost is reported as first-call time minus
+/// a steady-state call, i.e. what one cache miss actually adds to a request.
 PlanBench bench_plan(bool smoke) {
   const int64_t B = smoke ? 2 : 8;
   const int64_t H = smoke ? 16 : 64, W = H;
@@ -262,7 +235,7 @@ PlanBench bench_plan(bool smoke) {
 }
 
 void write_json(const char* path, bool smoke, double ref_speedup,
-                double fwd_per_sec, const PlanBench& plan,
+                const PlanBench& plan,
                 const std::vector<AttentionBench>& attn) {
   JsonWriter w;
   w.begin_object();
@@ -271,7 +244,6 @@ void write_json(const char* path, bool smoke, double ref_speedup,
   w.field("simd_level", simd::level_name());
   w.field("threads", runtime::ThreadPool::instance().num_threads());
   w.field("gemm_speedup_reference_shape", ref_speedup, 4);
-  w.field("end_to_end_forward_per_sec", fwd_per_sec, 4);
   w.field("plan_compile_ms", plan.compile_ms, 4);
   w.field("plan_compile_trace_ms", plan.compile_trace_ms, 4);
   w.field("plan_compile_lower_ms", plan.compile_lower_ms, 4);
@@ -357,11 +329,9 @@ int main(int argc, char** argv) {
     attn.push_back(smoke ? bench_attention(2, 200, c, smoke)
                          : bench_attention(8, 4096, c, smoke));
   }
-  const double fwd_per_sec = bench_end_to_end(smoke);
   const PlanBench plan = bench_plan(smoke);
 
-  write_json("BENCH_kernels.json", smoke, ref.speedup, fwd_per_sec, plan,
-             attn);
+  write_json("BENCH_kernels.json", smoke, ref.speedup, plan, attn);
 
   int rc = 0;
   for (const AttentionBench& a : attn) {

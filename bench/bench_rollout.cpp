@@ -10,6 +10,7 @@
 // batch size > 1, so a batching regression breaks the pipeline instead of
 // a graph.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -53,9 +54,7 @@ int env_default_threads() {
   return env_int_in_range("SAUFNO_NUM_THREADS", hw, 1, 1024);
 }
 
-Entry run_config(const std::shared_ptr<nn::Module>& model,
-                 const data::Normalizer& norm, const data::RolloutSpec& spec,
-                 int n_sessions, int steps, int64_t res) {
+runtime::RolloutEngine::Config engine_config(int n_sessions) {
   runtime::RolloutEngine::Config cfg;
   // Lockstep waves are exactly n_sessions wide: with max_batch matching,
   // each wave pops the moment the last submission lands instead of idling
@@ -63,8 +62,15 @@ Entry run_config(const std::shared_ptr<nn::Module>& model,
   cfg.engine.max_batch =
       env_int_in_range("SAUFNO_MAX_BATCH", n_sessions, 1, 1024);
   cfg.engine.max_wait_us = 20000;
-  runtime::RolloutEngine engine(model, norm, spec, cfg);
+  return cfg;
+}
 
+/// Opens `n_sessions` cold sessions on `engine`, drives each through
+/// `steps` random power maps, and returns the seconds engine.run took.
+double serve_sessions(runtime::RolloutEngine& engine,
+                      const data::Normalizer& norm,
+                      const data::RolloutSpec& spec, int n_sessions,
+                      int steps, int64_t res) {
   Rng rng(17);
   std::vector<std::unique_ptr<runtime::RolloutSession>> sessions;
   std::vector<runtime::RolloutSession*> raw;
@@ -78,52 +84,69 @@ Entry run_config(const std::shared_ptr<nn::Module>& model,
     powers.push_back(Tensor::rand_uniform(
         {steps, spec.power_channels, res, res}, rng, 0.f, 9e4f));
   }
-
   Timer t;
-  const auto trajectories = engine.run(raw, powers);
+  (void)engine.run(raw, powers);
+  return t.seconds();
+}
+
+Entry run_config(const std::shared_ptr<nn::Module>& model,
+                 const data::Normalizer& norm, const data::RolloutSpec& spec,
+                 int n_sessions, int steps, int64_t res) {
+  runtime::RolloutEngine engine(model, norm, spec, engine_config(n_sessions));
   Entry e;
+  e.seconds = serve_sessions(engine, norm, spec, n_sessions, steps, res);
   e.threads = runtime::ThreadPool::instance().num_threads();
   e.sessions = n_sessions;
   e.steps = steps;
-  e.seconds = t.seconds();
   const double total_steps = static_cast<double>(n_sessions) * steps;
   e.steps_per_sec = total_steps / e.seconds;
   e.per_step_latency_ms = e.seconds / steps * 1e3;  // wall time per wave
   e.avg_batch_size = engine.stats().avg_batch_size;
-  (void)trajectories;
   return e;
 }
 
-/// Telemetry overhead probe: re-run a reference config with every obs
-/// feature live (tracing to a file + kernel profiling forced on) and
-/// compare steps/s against the plain run. Best-of-3 on each side damps
-/// scheduler noise; the ISSUE budget is 2%.
+/// Telemetry overhead probe: one engine serves `pairs` pairs of windows of
+/// the reference config, one window with every obs feature live (tracing
+/// to a file + kernel profiling forced on) and one without. Each pair's
+/// steps/s loss is one sample; the median over pairs is the overhead, so a
+/// scheduler hiccup moves one sample, not the result. The side that runs
+/// first alternates, so slow drift cancels. A first untimed window compiles
+/// the plan and warms the workspace.
 double measure_telemetry_overhead(const std::shared_ptr<nn::Module>& model,
                                   const data::Normalizer& norm,
                                   const data::RolloutSpec& spec, int n_sessions,
-                                  int steps, int64_t res,
-                                  double* on_steps_per_sec) {
-  auto best_of = [&](int reps) {
-    double best = 0.0;
-    for (int r = 0; r < reps; ++r) {
-      const Entry e = run_config(model, norm, spec, n_sessions, steps, res);
-      best = std::max(best, e.steps_per_sec);
+                                  int steps, int64_t res, int pairs) {
+  runtime::RolloutEngine engine(model, norm, spec, engine_config(n_sessions));
+  auto window = [&](bool telemetry) {
+    if (telemetry) {
+      obs::trace_start("BENCH_rollout_trace.json");
+      obs::force_profile_kernels(true);
     }
-    return best;
+    const double sec =
+        serve_sessions(engine, norm, spec, n_sessions, steps, res);
+    if (telemetry) {
+      obs::force_profile_kernels(false);
+      obs::trace_stop();
+    }
+    return sec;
   };
-
-  const double off = best_of(3);
-  obs::trace_start("BENCH_rollout_trace.json");
-  obs::force_profile_kernels(true);
-  const double on = best_of(3);
-  obs::force_profile_kernels(false);
-  obs::trace_stop();
-
-  *on_steps_per_sec = on;
-  const double overhead_pct = (off - on) / off * 100.0;
-  std::printf("\ntelemetry overhead: %.1f steps/s off, %.1f steps/s on "
-              "(%.2f%%)\n", off, on, overhead_pct);
-  return overhead_pct;
+  (void)window(false);
+  std::vector<double> pct;
+  for (int p = 0; p < pairs; ++p) {
+    const bool on_first = p % 2 == 1;
+    const double first = window(on_first);
+    const double second = window(!on_first);
+    const double off = on_first ? second : first;
+    const double on = on_first ? first : second;
+    // Steps/s lost: (1/off - 1/on) / (1/off).
+    pct.push_back((on - off) / on * 100.0);
+  }
+  std::sort(pct.begin(), pct.end());
+  const double median = pct[pct.size() / 2];
+  std::printf("\ntelemetry overhead: median %.2f%% over %d paired windows of "
+              "%d steps x %d sessions (range %.2f%% .. %.2f%%)\n",
+              median, pairs, steps, n_sessions, pct.front(), pct.back());
+  return median;
 }
 
 void write_json(const char* path, bool smoke, int64_t res,
@@ -206,11 +229,13 @@ int main(int argc, char** argv) {
   }
   // Telemetry overhead probe at the widest smoke config (8 sessions keeps
   // the batcher busy, so idle-queue time doesn't mask per-event cost), back
-  // at the environment-default pool size.
+  // at the environment-default pool size. On a noisy 4-vCPU host, 201 pairs
+  // of ~25 ms smoke windows put the median within about 0.5% of the true
+  // overhead; with telemetry off on both sides it read -0.2..0.3%.
   runtime::ThreadPool::instance().resize(env_default_threads());
-  double on_steps_per_sec = 0.0;
-  const double overhead_pct = measure_telemetry_overhead(
-      model, norm, spec, smoke ? 8 : 16, steps, res, &on_steps_per_sec);
+  const double overhead_pct =
+      measure_telemetry_overhead(model, norm, spec, smoke ? 8 : 16,
+                                 smoke ? 24 : steps, res, smoke ? 201 : 31);
 
   write_json("BENCH_rollout.json", smoke, res, overhead_pct);
 
@@ -223,8 +248,8 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  // Smoke-mode CI gate: telemetry must stay within the 2% budget. The
-  // best-of-3 on both sides keeps this stable on noisy CI runners.
+  // Smoke-mode CI gate: telemetry must stay within the 2% budget, judged
+  // on the paired-window median.
   if (smoke && overhead_pct > 2.0) {
     std::printf("FAIL: telemetry overhead %.2f%% exceeds the 2%% budget\n",
                 overhead_pct);

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <vector>
 
+#include "autograd/ops.h"
 #include "common/logging.h"
 #include "plan/trace.h"
 #include "runtime/workspace.h"
@@ -19,7 +20,7 @@ using detail::accumulate_grad;
 namespace fwd {
 
 void conv2d_into(const Tensor& x, const Tensor& w, const Tensor* bias,
-                 int64_t stride, int64_t pad, int act, Tensor& out) {
+                 int64_t stride, int64_t pad, Act act, Tensor& out) {
   SAUFNO_CHECK(x.dim() == 4, "conv2d input must be [B,C,H,W]");
   SAUFNO_CHECK(w.dim() == 4, "conv2d weight must be [Cout,Cin,kh,kw]");
   const int64_t B = x.size(0), cin = x.size(1), h = x.size(2),
@@ -59,7 +60,7 @@ void conv2d_into(const Tensor& x, const Tensor& w, const Tensor* bias,
         for (int64_t i = 0; i < plane; ++i) row[i] += bp[co];
       }
     }
-    if (act != 0) {
+    if (act != Act::kNone) {
       for (int64_t i = 0; i < cout * plane; ++i) {
         dst[i] = act_apply(act, dst[i]);
       }
@@ -90,7 +91,7 @@ void maxpool2d_into(const Tensor& x, int64_t kernel, int64_t* argmax,
 }  // namespace fwd
 
 Var conv2d(const Var& x, const Var& w, const Var& b, int64_t stride,
-           int64_t pad) {
+           int64_t pad, Act act) {
   SAUFNO_CHECK(x.value().dim() == 4, "conv2d input must be [B,C,H,W]");
   SAUFNO_CHECK(w.value().dim() == 4, "conv2d weight must be [Cout,Cin,kh,kw]");
   const int64_t B = x.size(0), cin = x.size(1), h = x.size(2), w_in = x.size(3);
@@ -101,15 +102,17 @@ Var conv2d(const Var& x, const Var& w, const Var& b, int64_t stride,
   const int64_t plane = oh * ow;
   const bool has_bias = b.defined();
 
+  const bool taped = any_requires_grad({x, w, b.defined() ? b : Var()});
   Tensor out({B, cout, oh, ow});
   fwd::conv2d_into(x.value(), w.value(), has_bias ? &b.value() : nullptr,
-                   stride, pad, /*act=*/0, out);
+                   stride, pad, taped ? Act::kNone : act, out);
 
   plan::tr::Attrs attrs;
   attrs.ivals = {stride, pad, has_bias ? 1 : 0};
-  if (!any_requires_grad({x, w, b.defined() ? b : Var()})) {
+  if (!taped) {
     // The undefined bias Var is skipped by the tracer; ivals' has_bias flag
     // tells the executor how many inputs to expect.
+    attrs.act = act;
     return plan::tr::record(plan::OpCode::kConv2d, {&x, &w, &b},
                             Var(std::move(out)), attrs);
   }
@@ -162,8 +165,9 @@ Var conv2d(const Var& x, const Var& w, const Var& b, int64_t stride,
     accumulate_grad(iw, gw);
     if (has_bias) accumulate_grad(ib, gb);
   };
-  return plan::tr::record(plan::OpCode::kConv2d, {&x, &w, &b},
-                          Var::from_op(std::move(out), node), attrs);
+  return apply_act(plan::tr::record(plan::OpCode::kConv2d, {&x, &w, &b},
+                                    Var::from_op(std::move(out), node), attrs),
+                   act);
 }
 
 Var maxpool2d(const Var& x, int64_t kernel) {

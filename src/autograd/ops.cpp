@@ -225,6 +225,32 @@ Var abs(const Var& a) {
       });
 }
 
+Var apply_act(const Var& a, Act act) {
+  switch (act) {
+    case Act::kRelu:
+      return relu(a);
+    case Act::kGelu:
+      return gelu(a);
+    case Act::kNone:
+      break;
+  }
+  return a;
+}
+
+Var add_act(const Var& a, const Var& b, const Var& c, Act act) {
+  if (any_requires_grad({a, b, c})) {
+    Var s = add(a, b);
+    return apply_act(c.defined() ? add(s, c) : s, act);
+  }
+  Tensor out(broadcast_shape(a.shape(), b.shape()));
+  fused_add_act_into(a.value(), b.value(), c.defined() ? &c.value() : nullptr,
+                     act, out);
+  tr::Attrs attrs;
+  attrs.act = act;
+  return tr::record(OpCode::kFusedAddAct, {&a, &b, &c}, Var(std::move(out)),
+                    attrs);
+}
+
 Var reshape(const Var& a, Shape new_shape) {
   Tensor out = a.value().reshape(std::move(new_shape));
   if (!should_record(a)) {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include "autograd/variable.h"
+#include "tensor/tensor_ops.h"
 
 namespace saufno {
 namespace ops {
@@ -31,6 +32,16 @@ Var log(const Var& a);
 Var sqrt(const Var& a);
 Var square(const Var& a);
 Var abs(const Var& a);
+
+/// relu or gelu by `act`; `a` itself for Act::kNone.
+Var apply_act(const Var& a, Act act);
+
+/// act(a + b) (c undefined; b may broadcast) or act((a + b) + c) (all three
+/// the same shape). Without a tape it is one fused_add_act_into sweep; with
+/// one it is the add ops and then the activation op, so the tape and its
+/// gradients are those of the chain. Either way the values are
+/// bit-identical.
+Var add_act(const Var& a, const Var& b, const Var& c, Act act);
 
 // Shape ops.
 Var reshape(const Var& a, Shape new_shape);

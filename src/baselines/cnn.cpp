@@ -19,8 +19,8 @@ Cnn::Cnn(const Config& cfg, Rng& rng) : cfg_(cfg) {
 Var Cnn::forward(const Var& x) {
   Var cur = x;
   for (std::size_t i = 0; i < convs_.size(); ++i) {
-    cur = convs_[i]->forward(cur);
-    if (i + 1 < convs_.size()) cur = relu_.forward(cur);
+    cur = convs_[i]->forward(
+        cur, i + 1 < convs_.size() ? Act::kRelu : Act::kNone);
   }
   return cur;
 }

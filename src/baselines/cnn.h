@@ -1,6 +1,5 @@
 #pragma once
 
-#include "nn/activation.h"
 #include "nn/conv.h"
 
 namespace saufno {
@@ -27,7 +26,6 @@ class Cnn : public nn::Module {
  private:
   Config cfg_;
   std::vector<nn::Conv2d*> convs_;
-  nn::ReLU relu_;
 };
 
 }  // namespace baselines

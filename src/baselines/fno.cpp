@@ -18,7 +18,6 @@ Fno::Fno(const Config& cfg, Rng& rng) : cfg_(cfg) {
     lc.modes1 = cfg.modes1;
     lc.modes2 = cfg.modes2;
     lc.with_unet = false;  // Eq. (6): sigma(K v + W v) only
-    lc.final_activation = true;
     layers_.push_back(register_module(
         "layer" + std::to_string(i),
         std::make_shared<core::UFourierLayer>(lc, rng)));

@@ -35,7 +35,6 @@ SauFno::SauFno(const Config& cfg, Rng& rng) : cfg_(cfg) {
     lc.with_unet = i >= cfg.n_fourier;  // plain Fourier first, then U-Fourier
     lc.unet_base = cfg.unet_base;
     lc.unet_depth = cfg.unet_depth;
-    lc.final_activation = true;
     layers_.push_back(register_module(
         "layer" + std::to_string(i),
         std::make_shared<UFourierLayer>(lc, rng)));

@@ -22,9 +22,12 @@ UFourierLayer::UFourierLayer(const Config& cfg, Rng& rng) : cfg_(cfg) {
 
 Var UFourierLayer::forward(const Var& v) {
   plan::TraceScope scope(cfg_.with_unet ? "ufourier" : "fourier");
-  Var s = ops::add(k_->forward(v), w_->forward(v));
-  if (u_ != nullptr) s = ops::add(s, u_->forward(v));
-  return cfg_.final_activation ? ops::gelu(s) : s;
+  // A fixed branch order (argument order is unspecified) keeps the traced
+  // plan's instruction order the same under every compiler.
+  Var wv = w_->forward(v);
+  Var kv = k_->forward(v);
+  Var uv = u_ != nullptr ? u_->forward(v) : Var();
+  return ops::add_act(kv, wv, uv, Act::kGelu);
 }
 
 }  // namespace core

@@ -24,7 +24,6 @@ class UFourierLayer : public nn::Module {
     bool with_unet = true;    // U-Fourier (true) vs plain Fourier (false)
     int64_t unet_base = 16;   // first-level U-Net channels
     int64_t unet_depth = 3;   // max pooling levels in the bypass
-    bool final_activation = true;  // last layer may skip sigma
   };
 
   UFourierLayer(const Config& cfg, Rng& rng);

@@ -47,19 +47,19 @@ Var UNet::forward(const Var& x) {
     }
   }
 
-  Var cur = relu_.forward(in_conv_->forward(x));
+  Var cur = in_conv_->forward(x, Act::kRelu);
   std::vector<Var> skips;  // encoder outputs, finest first
   for (int64_t l = 0; l < eff; ++l) {
     skips.push_back(cur);
     cur = pool_.forward(cur);
-    cur = relu_.forward(enc_[static_cast<std::size_t>(l)]->forward(cur));
+    cur = enc_[static_cast<std::size_t>(l)]->forward(cur, Act::kRelu);
   }
   for (int64_t l = eff - 1; l >= 0; --l) {
     cur = up_.forward(cur);
     cur = ops::cat({cur, skips[static_cast<std::size_t>(l)]}, 1);
     // dec_ is stored deepest-first: dec_[depth-1-l] handles level l.
-    cur = relu_.forward(
-        dec_[static_cast<std::size_t>(depth_ - 1 - l)]->forward(cur));
+    cur = dec_[static_cast<std::size_t>(depth_ - 1 - l)]->forward(
+        cur, Act::kRelu);
   }
   return out_conv_->forward(cur);
 }

@@ -1,6 +1,5 @@
 #pragma once
 
-#include "nn/activation.h"
 #include "nn/conv.h"
 #include "nn/linear.h"
 #include "nn/pool.h"
@@ -36,7 +35,6 @@ class UNet : public nn::Module {
   std::vector<nn::Conv2d*> enc_;   // conv at each level (after pool)
   std::vector<nn::Conv2d*> dec_;   // conv after upsample+skip concat
   nn::PointwiseConv* out_conv_;
-  nn::ReLU relu_;
   nn::MaxPool2d pool_{2};
   nn::UpsampleBilinear up_{2};
 };

@@ -62,9 +62,8 @@ Var Fno3d::forward(const Var& x) {
                    " channels, got " + std::to_string(x.size(1)));
   Var v = ops::gelu(pointwise5d(*lift_, x));
   for (std::size_t i = 0; i < spectral_.size(); ++i) {
-    Var s = ops::add(spectral_[i]->forward(v),
-                     pointwise5d(*linear_[i], v));
-    v = ops::gelu(s);
+    Var wv = pointwise5d(*linear_[i], v);
+    v = ops::add_act(spectral_[i]->forward(v), wv, Var(), Act::kGelu);
   }
   return pointwise5d(*proj2_, ops::gelu(pointwise5d(*proj1_, v)));
 }

@@ -18,8 +18,10 @@ Conv2d::Conv2d(int64_t cin, int64_t cout, int64_t kernel, Rng& rng,
   }
 }
 
-Var Conv2d::forward(const Var& x) {
-  return ops::conv2d(x, weight_, bias_, stride_, pad_);
+Var Conv2d::forward(const Var& x) { return forward(x, Act::kNone); }
+
+Var Conv2d::forward(const Var& x, Act act) {
+  return ops::conv2d(x, weight_, bias_, stride_, pad_, act);
 }
 
 }  // namespace nn

@@ -15,6 +15,8 @@ class Conv2d : public Module {
          int64_t stride = 1, int64_t pad = 0, bool bias = true);
 
   Var forward(const Var& x) override;
+  /// The conv followed by `act` (fused into the conv without a tape).
+  Var forward(const Var& x, Act act);
 
   int64_t out_channels() const { return cout_; }
 

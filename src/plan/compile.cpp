@@ -22,8 +22,7 @@ int32_t root_of(const Plan& p, int32_t s) {
 
 /// Use count per ROOT slot: one per live-instruction input reference
 /// (references through reshape aliases resolve to the aliased root) plus one
-/// for the plan output. A producer may only be fused away when its out slot
-/// has exactly one use and is not the output.
+/// for the plan output.
 std::vector<int32_t> tally_uses(const Plan& p, const std::vector<bool>& dead) {
   std::vector<int32_t> uses(p.slots.size(), 0);
   for (std::size_t i = 0; i < p.instrs.size(); ++i) {
@@ -34,19 +33,6 @@ std::vector<int32_t> tally_uses(const Plan& p, const std::vector<bool>& dead) {
   }
   ++uses[static_cast<std::size_t>(root_of(p, p.output_slot))];
   return uses;
-}
-
-Act act_code(OpCode op) {
-  switch (op) {
-    case OpCode::kRelu:
-      return Act::kRelu;
-    case OpCode::kGelu:
-      return Act::kGelu;
-    case OpCode::kTanh:
-      return Act::kTanh;
-    default:
-      return Act::kNone;
-  }
 }
 
 }  // namespace
@@ -96,89 +82,7 @@ Plan compile(Plan p) {
     dead[i] = true;
   }
 
-  // -- Pass 3: fusion peephole ----------------------------------------------
-  {
-    std::vector<int32_t> producer(n_slots, -1);
-    for (std::size_t i = 0; i < p.instrs.size(); ++i) {
-      if (!dead[i]) {
-        producer[static_cast<std::size_t>(p.instrs[i].out)] =
-            static_cast<int32_t>(i);
-      }
-    }
-    std::vector<int32_t> uses = tally_uses(p, dead);
-    auto fusable_producer = [&](int32_t slot) -> int32_t {
-      const int32_t pi = producer[static_cast<std::size_t>(slot)];
-      if (pi < 0 || dead[static_cast<std::size_t>(pi)]) return -1;
-      if (uses[static_cast<std::size_t>(slot)] != 1) return -1;
-      return pi;
-    };
-
-    for (std::size_t oi = 0; oi < p.instrs.size(); ++oi) {
-      if (dead[oi]) continue;
-      Instr& o = p.instrs[oi];
-      const Act a = act_code(o.op);
-      if (a != Act::kNone) {
-        const int32_t pi = fusable_producer(o.in[0]);
-        if (pi < 0) continue;
-        Instr& pr = p.instrs[static_cast<std::size_t>(pi)];
-        if (pr.op == OpCode::kAdd) {
-          // Widen to act((x + y) + z) when the inner add is single-use and
-          // every operand matches the output shape (no broadcasting, so the
-          // fused sweep evaluates the exact same expression tree; float
-          // addition is commutative, so either nesting side works).
-          const Shape& oshape =
-              p.slots[static_cast<std::size_t>(o.out)].shape;
-          int32_t qi = -1;
-          int side = 0;
-          for (int s = 0; s < 2 && qi < 0; ++s) {
-            const int32_t c = fusable_producer(pr.in[static_cast<std::size_t>(s)]);
-            if (c >= 0 && p.instrs[static_cast<std::size_t>(c)].op == OpCode::kAdd) {
-              const Instr& q = p.instrs[static_cast<std::size_t>(c)];
-              const bool shapes_ok =
-                  p.slots[static_cast<std::size_t>(q.in[0])].shape == oshape &&
-                  p.slots[static_cast<std::size_t>(q.in[1])].shape == oshape &&
-                  p.slots[static_cast<std::size_t>(pr.in[static_cast<std::size_t>(1 - s)])]
-                          .shape == oshape;
-              if (shapes_ok) {
-                qi = c;
-                side = s;
-              }
-            }
-          }
-          Instr fused;
-          fused.op = OpCode::kFusedAddAct;
-          fused.act = a;
-          fused.out = o.out;
-          fused.label = o.label;
-          if (qi >= 0) {
-            const Instr& q = p.instrs[static_cast<std::size_t>(qi)];
-            fused.in = {q.in[0], q.in[1], pr.in[static_cast<std::size_t>(1 - side)]};
-            dead[static_cast<std::size_t>(qi)] = true;
-            uses[static_cast<std::size_t>(q.out)] = 0;
-            p.fused_ops += 2;
-          } else {
-            fused.in = pr.in;
-            p.fused_ops += 1;
-          }
-          dead[static_cast<std::size_t>(pi)] = true;
-          uses[static_cast<std::size_t>(pr.out)] = 0;
-          p.instrs[oi] = std::move(fused);
-        } else if (pr.op == OpCode::kConv2d && pr.act == Act::kNone) {
-          // Fold the activation into the conv epilogue: the conv kernel
-          // applies act_apply over the rows it just wrote.
-          pr.act = a;
-          const int32_t orphan = pr.out;
-          pr.out = o.out;
-          producer[static_cast<std::size_t>(o.out)] = pi;
-          uses[static_cast<std::size_t>(orphan)] = 0;
-          dead[oi] = true;
-          p.fused_ops += 1;
-        }
-      }
-    }
-  }
-
-  // -- Pass 4: dead-code elimination ----------------------------------------
+  // -- Pass 3: dead-code elimination ----------------------------------------
   // Iterate to a fixed point so whole unused chains fall away.
   {
     bool changed = true;
@@ -200,8 +104,17 @@ Plan compile(Plan p) {
     }
     p.instrs = std::move(live);
   }
+  // Each fused instruction (see ops::conv2d, ops::add_act) counts the
+  // separate ops it stands for, less one.
+  for (const Instr& ins : p.instrs) {
+    if (ins.op == OpCode::kFusedAddAct) {
+      p.fused_ops += static_cast<int64_t>(ins.in.size()) - 1;
+    } else if (ins.act != Act::kNone) {
+      ++p.fused_ops;
+    }
+  }
 
-  // -- Pass 5: level assignment ---------------------------------------------
+  // -- Pass 4: level assignment ---------------------------------------------
   // Inputs/params/consts sit at level 0; an instruction runs one level past
   // its deepest producer. Trace order is topological, and every transform
   // above preserves that, so one forward sweep suffices.
@@ -226,7 +139,7 @@ Plan compile(Plan p) {
     }
   }
 
-  // -- Pass 6: liveness + arena packing -------------------------------------
+  // -- Pass 5: liveness + arena packing -------------------------------------
   // Liveness is tracked at LEVEL granularity: a slot is live from its
   // defining level through the last level that reads it, and slots whose
   // intervals overlap get disjoint bytes. The executor runs levels in

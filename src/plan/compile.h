@@ -15,21 +15,20 @@ namespace plan {
 ///     disappears from the hot path.
 ///  2. Reshape aliasing — kReshape instructions become zero-cost slot
 ///     aliases (same storage, new shape).
-///  3. Fusion peephole — act(add) and act(add(add)) collapse into
-///     kFusedAddAct (bias+activation in one sweep), and an activation
-///     following a kConv2d folds into the conv's epilogue. Attention needs
-///     no pass: its scores, softmax and combination are traced as one
-///     kAttention instruction. Only float-exact fusions are performed, so
-///     the bit-identity contract survives.
-///  4. Dead-code elimination of instructions orphaned by 1–3.
-///  5. Level assignment — instruction dependency depths, grouped into
+///  3. Dead-code elimination of unused instructions, including the
+///     producers pass 1 orphaned.
+///  4. Level assignment — instruction dependency depths, grouped into
 ///     Plan::levels, which fix the execution order and the liveness
-///     granularity of pass 6.
-///  6. Workspace planning — liveness analysis at level granularity, then
+///     granularity of pass 5.
+///  5. Workspace planning — liveness analysis at level granularity, then
 ///     first-fit packing of every temp slot into ONE arena reservation
 ///     (Plan::arena_floats), offsets 16-float aligned.
 ///
-/// The returned plan reports fused_ops / folded_ops for benches and tests.
+/// No pass fuses: the ops layer already did (ops::conv2d with an
+/// activation, ops::add_act), so the tracer records kConv2d with `act` and
+/// kFusedAddAct directly, and the interpreter runs the same fused kernels.
+/// The returned plan reports fused_ops (the ops those instructions stand
+/// for, less one each) and folded_ops for benches and tests.
 Plan compile(Plan traced);
 
 }  // namespace plan

@@ -109,8 +109,7 @@ SAUFNO_PLAN_KERNEL(Conv2d) {
   const bool has_bias = args.instr.ivals[2] != 0;
   ops::fwd::conv2d_into(args.in(0), args.in(1),
                         has_bias ? &args.in(2) : nullptr, args.instr.ivals[0],
-                        args.instr.ivals[1],
-                        static_cast<int>(args.instr.act), args.out);
+                        args.instr.ivals[1], args.instr.act, args.out);
 }
 SAUFNO_PLAN_KERNEL(MaxPool2d) {
   ops::fwd::maxpool2d_into(args.in(0), args.instr.ivals[0],
@@ -133,7 +132,7 @@ SAUFNO_PLAN_KERNEL(Attention) {
 SAUFNO_PLAN_KERNEL(FusedAddAct) {
   const bool three = args.instr.in.size() == 3;
   fused_add_act_into(args.in(0), args.in(1), three ? &args.in(2) : nullptr,
-                     static_cast<int>(args.instr.act), args.out);
+                     args.instr.act, args.out);
 }
 
 #undef SAUFNO_PLAN_KERNEL

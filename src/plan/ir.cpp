@@ -49,7 +49,6 @@ const char* act_name(Act a) {
     case Act::kNone: return "none";
     case Act::kRelu: return "relu";
     case Act::kGelu: return "gelu";
-    case Act::kTanh: return "tanh";
   }
   return "?";
 }

@@ -4,7 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "tensor/tensor.h"
+#include "tensor/tensor_ops.h"
 
 namespace saufno {
 namespace plan {
@@ -13,7 +13,7 @@ namespace plan {
 // Flat execution-plan IR (the "ISA" half of the ISA/VM split): a traced
 // forward becomes a list of instructions over pre-resolved tensor slots with
 // static shapes. The tracer (trace.h) emits it, the compiler (compile.h)
-// folds/fuses/lays out workspace on it, and the executor (executor.h) runs
+// folds it and lays out its workspace, and the executor (executor.h) runs
 // it through a kernel registration table. Every opcode's runtime kernel is
 // the SAME code the interpreted ops:: layer calls (the *_into variants in
 // tensor/tensor_ops.h and the ops::fwd helpers), which is what makes the
@@ -59,19 +59,15 @@ enum class OpCode : std::uint8_t {
   kAttention,       // in = {q [B,N,d], k [B,d,N], v [B,C,N]}, fval = scale;
                     // out [B,C,N] = v softmax_lastdim(q k * scale)^T,
                     // row-blocked (no [N,N] slot)
-  // Compiler-synthesized fusions (never emitted by the tracer).
-  kFusedAddAct,     // out = act(in0 + in1 [+ in2]); 2-input form may
-                    // broadcast (bias), 3-input form requires equal shapes
+  kFusedAddAct,     // out = act(in0 + in1 [+ in2]) from ops::add_act;
+                    // 2-input form may broadcast (bias), 3-input form
+                    // requires equal shapes
   kScaledSoftmax,   // out = softmax_lastdim(in * fval). Nothing emits it
                     // and no kernel runs it since kAttention took the
                     // attention softmax; kept while the perfbench ledger
                     // names it
   kCount
 };
-
-/// Activation fused into a producer instruction. The numeric values match
-/// the codes tensor/tensor_ops.h act_apply() understands.
-enum class Act : std::uint8_t { kNone = 0, kRelu = 1, kGelu = 2, kTanh = 3 };
 
 /// What a slot binds to at execution time.
 enum class SlotKind : std::uint8_t {

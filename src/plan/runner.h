@@ -58,7 +58,7 @@ class PlanRunner {
   /// forward through the model (runs every kernel once on a zero probe —
   /// this, not the compiler, is where a multi-second compile goes);
   /// `lower_ms` is TraceSession graph extraction; `passes_ms` is the
-  /// compiler pass pipeline (fusion, liveness, arena layout, leveling).
+  /// compiler pass pipeline (folding, liveness, arena layout, leveling).
   struct CompileBreakdown {
     double trace_ms = 0.0;
     double lower_ms = 0.0;

@@ -117,6 +117,7 @@ class TraceSessionImpl {
     ins.in = std::move(in_slots);
     ins.ivals = std::move(attrs.ivals);
     ins.fval = attrs.fval;
+    ins.act = attrs.act;
     ins.label = scope_path();
     ins.out = add_slot(SlotKind::kTemp, out.shape(), Tensor());
     slot_of_[out.impl().get()] = ins.out;

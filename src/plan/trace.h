@@ -83,6 +83,7 @@ namespace tr {
 struct Attrs {
   std::vector<int64_t> ivals;
   float fval = 0.f;
+  Act act = Act::kNone;
 };
 
 void record_op(OpCode op, std::initializer_list<const Var*> ins,

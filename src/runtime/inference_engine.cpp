@@ -480,8 +480,8 @@ void InferenceEngine::forward_and_deliver(std::vector<InferenceRequest>& batch,
     SAUFNO_TRACE_SPAN("engine.normalize");
     stacked = norm_->encode_inputs(stacked);
   }
-  // The runner picks the path: compiled plan (flat fused instruction
-  // stream, zero per-op allocation) or define-by-run interpreter under
+  // The runner picks the path: compiled plan (flat instruction stream,
+  // zero per-op allocation) or define-by-run interpreter under
   // its own NoGradGuard. Either way the result is bit-identical and no
   // autograd tape survives the forward.
   //

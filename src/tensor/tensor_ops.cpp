@@ -186,8 +186,8 @@ inline float erf_poly(float z) {
 }
 
 /// Exact GELU x * Phi(x) via erf_poly. Single definition shared by gelu,
-/// gelu_into, and act_apply code 2 — the fused kernels depend on all three
-/// being bit-identical.
+/// gelu_into and act_apply(Act::kGelu) — the fused kernels depend on all
+/// three being bit-identical.
 inline float gelu_core(float x) {
   return 0.5f * x * (1.f + erf_poly(x * 0.70710678f));
 }
@@ -263,35 +263,32 @@ Tensor map(const Tensor& a, const std::function<float(float)>& f) {
   return unary(a, [&f](float x) { return f(x); });
 }
 
-float act_apply(int act, float v) {
-  // Codes match plan::Act. The expressions are copies of the unary kernels
-  // above; the fused kernels depend on that for bit-identity, so any change
-  // here must change the unary forms in lockstep (and vice versa).
+float act_apply(Act act, float v) {
+  // Copies of the unary kernels' expressions; change them in lockstep.
   switch (act) {
-    case 1:
+    case Act::kRelu:
       return v > 0.f ? v : 0.f;
-    case 2:
+    case Act::kGelu:
       return gelu_core(v);
-    case 3:
-      return std::tanh(v);
-    default:
-      return v;
+    case Act::kNone:
+      break;
   }
+  return v;
 }
 
 void fused_add_act_into(const Tensor& a, const Tensor& b, const Tensor* c,
-                        int act, Tensor& out) {
+                        Act act, Tensor& out) {
   if (c == nullptr) {
-    // Two-input form broadcasts (bias add); per element the compiler sees
-    // act(x + y) with the same add and the same activation expression the
-    // separate ops would run, in the same order.
+    // Two-input form broadcasts (bias add): per element it runs the same
+    // add and the same activation expression as the separate ops, in the
+    // same order.
     broadcast_binary_into_t(a, b, out, [act](float x, float y) {
       return act_apply(act, x + y);
     });
     return;
   }
-  // Three-input form is same-shape only (the fuser enforces this): the
-  // grouping (a + b) + c mirrors the traced nesting of the two adds.
+  // Three-input form is same-shape only: the grouping (a + b) + c is
+  // add(add(a, b), c).
   SAUFNO_CHECK(a.shape() == b.shape() && a.shape() == c->shape() &&
                    out.shape() == a.shape(),
                "fused_add_act: 3-input form requires equal shapes");

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <functional>
 
 #include "tensor/tensor.h"
@@ -116,18 +117,20 @@ void sum_dim_into(const Tensor& a, int64_t dim, bool keepdim, Tensor& out);
 void resize_bilinear_into(const Tensor& a, int64_t oh, int64_t ow,
                           Tensor& out);
 
-/// Activation codes shared between the plan IR (plan::Act) and the fused
-/// kernels: 0 none, 1 relu, 2 gelu, 3 tanh. The expressions MUST stay
-/// bit-identical to the unary kernels above — the plan executor relies on
-/// fused act(x) matching a separate activation pass exactly.
-float act_apply(int act, float v);
+/// Activation fused into a producing kernel's epilogue (conv2d, add). One
+/// enum serves the fused kernels, the autograd ops layer and the plan IR.
+enum class Act : std::uint8_t { kNone, kRelu, kGelu };
+
+/// act(v) with the same expression as the unary kernel above (relu_into,
+/// gelu_into), so a fused activation matches a separate pass bit for bit.
+float act_apply(Act act, float v);
 
 /// Fused out = act(a + b) (c == nullptr) or out = act((a + b) + c).
 /// The 2-input form broadcasts like add(); the 3-input form requires equal
 /// shapes. Per element the arithmetic matches add-then-activation exactly
 /// (same expressions, same order), so fusing never changes bits.
 void fused_add_act_into(const Tensor& a, const Tensor& b, const Tensor* c,
-                        int act, Tensor& out);
+                        Act act, Tensor& out);
 /// Fused out = softmax_lastdim(a * scale): the scaled row is materialized
 /// into `out` first and the softmax then runs the identical max/exp/sum/
 /// scale sequence as softmax_lastdim_into — bit-identical to mul_scalar

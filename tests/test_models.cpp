@@ -1,6 +1,7 @@
 #include "train/model_zoo.h"
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -155,6 +156,32 @@ INSTANTIATE_TEST_SUITE_P(AllZooModels, ZooModelP,
                          ::testing::Values("SAU-FNO", "U-FNO", "FNO",
                                            "DeepOHeat", "GAR", "CNN",
                                            "SAU-FNO-all-attn"));
+
+TEST(ModelZoo, FusedNoGradForwardBitIdenticalToComposedGradForward) {
+  // Without a tape the U-Net/CNN convs run relu in their epilogue and each
+  // Fourier layer is one add+gelu sweep; with a tape the same ops are
+  // separate nodes. SAU-FNO-micro covers conv+relu and both add forms, CNN
+  // a last conv with no activation. The two forwards must agree bit for bit.
+  for (const char* name : {"SAU-FNO-micro", "CNN"}) {
+    SCOPED_TRACE(name);
+    auto model = train::make_model(name, 3, 1, /*seed=*/5);
+    Rng rng(21);
+    Var x(Tensor::randn({2, 3, 20, 20}, rng), false);
+    Var composed = model->forward(x);
+    ASSERT_TRUE(composed.requires_grad());
+    Tensor fused;
+    {
+      NoGradGuard no_grad;
+      Var y = model->forward(x);
+      ASSERT_FALSE(y.requires_grad());
+      fused = y.value();
+    }
+    ASSERT_EQ(fused.shape(), composed.shape());
+    EXPECT_EQ(0, std::memcmp(fused.data(), composed.value().data(),
+                             sizeof(float) *
+                                 static_cast<std::size_t>(fused.numel())));
+  }
+}
 
 TEST(ModelZoo, UnknownNameThrows) {
   EXPECT_THROW(train::make_model("NOPE", 3, 1, 0), std::runtime_error);

@@ -1,17 +1,19 @@
 // Compiled execution plans: trace/compile/execute must be BIT-identical to
 // the define-by-run interpreter (memcmp, not allclose) — the plan path runs
 // the same kernels in the same order, so there is no tolerance to hide
-// behind. Covers every zoo model on pow2 and non-pow2 grids, the fusion /
-// folding compiler passes, the per-shape plan cache (including concurrent
-// first use), the interpreter fallback for untraceable models, and the
-// plan-arena Reservation plumbing.
+// behind. Covers every zoo model on pow2 and non-pow2 grids, the fused
+// instructions the ops layer records, constant folding, the per-shape plan
+// cache (including concurrent first use), the interpreter fallback for
+// untraceable models, and the plan-arena Reservation plumbing.
 
 #include <atomic>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -74,20 +76,30 @@ TEST(PlanVsInterp, AllZooModelsBitIdenticalOnPow2AndNonPow2) {
   }
 }
 
-TEST(PlanCompile, FusesBiasActInSauFno) {
-  auto model = train::make_model("SAU-FNO-micro", 3, 1, 7);
-  model->set_training(false);
-  plan::PlanRunner runner(model, plan::Mode::kOn);
-  const Shape shape{1, 3, 16, 16};
-  Rng rng = testing::test_rng();
-  runner.forward(Tensor::randn(shape, rng));
-  auto exec = runner.executor_for(shape);
-  ASSERT_NE(exec, nullptr);
-  // gelu(K(v) + W(v)) in every Fourier layer fuses into kFusedAddAct. The
-  // attention softmax never reaches the plan: it runs inside kAttention.
-  EXPECT_GT(exec->plan().fused_ops, 0);
-  EXPECT_GT(exec->plan().arena_floats, 0);
-  EXPECT_FALSE(plan::to_string(exec->plan()).empty());
+TEST(PlanCompile, FusedOpsPerZooModel) {
+  // The ops layer fuses conv+relu (UNet, CNN) and gelu(K v + W v [+ U v])
+  // (every Fourier layer); the tracer records those fused instructions and
+  // compile() counts the ops they stand for. The attention softmax never
+  // reaches the plan: it runs inside kAttention.
+  const std::vector<std::pair<std::string, int64_t>> want = {
+      {"SAU-FNO", 19}, {"SAU-FNO-micro", 8}, {"SAU-FNO-all-attn", 19},
+      {"U-FNO", 19},   {"FNO", 3},           {"DeepOHeat", 0},
+      {"GAR", 2},      {"CNN", 3}};
+  ASSERT_EQ(want.size(), kZooNames.size());
+  const Shape shape{2, 3, 32, 32};
+  for (const auto& [name, fused] : want) {
+    SCOPED_TRACE(name);
+    auto model = train::make_model(name, 3, 1, 7);
+    model->set_training(false);
+    plan::PlanRunner runner(model, plan::Mode::kOn);
+    Rng rng = testing::test_rng();
+    runner.forward(Tensor::randn(shape, rng));
+    auto exec = runner.executor_for(shape);
+    ASSERT_NE(exec, nullptr);
+    EXPECT_EQ(exec->plan().fused_ops, fused);
+    EXPECT_GT(exec->plan().arena_floats, 0);
+    EXPECT_FALSE(plan::to_string(exec->plan()).empty());
+  }
 }
 
 TEST(PlanCompile, SauFnoAttentionHasNoQuadraticTemp) {
@@ -143,13 +155,13 @@ TEST(PlanKernels, FusedAddActBitIdenticalToUnfusedChain) {
   // 3-input same-shape form: gelu((a + b) + c).
   Tensor want = gelu(add(add(a, b), c));
   Tensor out(s);
-  fused_add_act_into(a, b, &c, /*act=*/2, out);
+  fused_add_act_into(a, b, &c, Act::kGelu, out);
   expect_bitwise(out, want, "gelu((a+b)+c)");
   // 2-input broadcasting form: relu(a + bias).
   Tensor bias = Tensor::randn({1, 8, 1, 1}, rng);
   Tensor want2 = relu(add(a, bias));
   Tensor out2(s);
-  fused_add_act_into(a, bias, nullptr, /*act=*/1, out2);
+  fused_add_act_into(a, bias, nullptr, Act::kRelu, out2);
   expect_bitwise(out2, want2, "relu(a+bias)");
 }
 
