@@ -98,7 +98,8 @@ int main() {
   }
 
   std::printf("%s\n", table.str().c_str());
-  std::printf("* substitutes per DESIGN.md\n");
+  std::printf("* substitutes: MTA and COMSOL = FDM solver, HotSpot = compact RC "
+              "network\n");
   std::printf(
       "paper reference: 0.27 s/prediction vs MTA 227.31 s (842x) and "
       "HotSpot 98.47 s (365x)\n"

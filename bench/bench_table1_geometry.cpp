@@ -41,7 +41,7 @@ int main() {
   std::printf(
       "note: spreader (30x30x1 mm) and sink (60x60x6.9 mm + 21 fins of\n"
       "1x60x50 mm) are modeled at the die footprint with the fins folded\n"
-      "into h_top (see DESIGN.md substitutions)\n\n");
+      "into h_top\n\n");
 
   TablePrinter fp({"Chip", "Device layer", "Blocks"}, {8, 22, 60});
   for (const auto& c : chips) {

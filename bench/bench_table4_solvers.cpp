@@ -116,7 +116,7 @@ int main() {
 
   std::printf("%s\n", table.str().c_str());
   std::printf("* substitutes: COMSOL = refined-mesh FDM, MTA = FDM, HotSpot "
-              "= compact RC network (DESIGN.md)\n");
+              "= compact RC network\n");
   std::printf("rows also written to table4_results.csv\n");
   std::printf(
       "expected shape (paper): COMSOL ~= MTA ~= Ours; HotSpot ~10 K "

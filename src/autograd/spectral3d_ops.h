@@ -44,7 +44,7 @@ void spectral_conv3d_into(const Tensor& x, const Tensor& w, int64_t m1,
 ///
 /// Forward: y = Re( IFFT3( W(k) * FFT3(x) ) ) on the kept mode set; the
 /// backward applies the same adjoints as the 2-D case extended to three
-/// axes (see DESIGN.md):
+/// axes (pinned by SpectralConv3dGrad.JointGradcheck):
 ///   gx = Re( FFT3( IFFT3(g) ⊙ W ) ),   gW = conj( IFFT3(g) ⊙ FFT3(x) ).
 /// Modes are clamped to each axis's Nyquist limit, so one parameter set
 /// serves every grid — including the thin z-axis of chip stacks.

@@ -47,8 +47,8 @@ void spectral_conv2d_into(const Tensor& x, const Tensor& w, int64_t m1,
 ///      columns address k2 = 0..m2-1.
 ///
 /// Forward: y = Re( IFFT2( W(k) * FFT2(x) ) ) with modes outside the kept
-/// set zeroed. The op is real-linear in x, so the backward uses the adjoint
-/// derived in DESIGN.md:
+/// set zeroed. The op is real-linear in x, so the backward is its adjoint
+/// (pinned by the SpectralConvGrad gradchecks):
 ///   gx = Re( FFT2( IFFT2(g) ⊙ W ) ),   gW = conj( IFFT2(g) ⊙ FFT2(x) ).
 ///
 /// Implementation: the input is real, so both transforms run on compact

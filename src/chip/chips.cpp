@@ -12,7 +12,7 @@ constexpr double kMm = 1e-3;
 /// Table I gives the spreader (30x30x1 mm) and sink (60x60x6.9 mm, 21 fins
 /// of 1x60x50 mm) at their physical footprints; the solvers model the stack
 /// at the die footprint and fold the fins + lateral spreading gain into the
-/// effective top-surface coefficient h_top (see DESIGN.md substitutions).
+/// effective top-surface coefficient h_top instead of meshing them.
 void append_cooling(ChipSpec& c, double tim_thickness) {
   c.layers.push_back({"TIM", tim_thickness, materials::tim(), false, {}});
   c.layers.push_back(

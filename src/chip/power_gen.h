@@ -32,7 +32,7 @@ class PowerGenerator {
   /// Rasterize an assignment to per-device-layer areal power-density maps
   /// (W/m^2), row-major [ny, nx], one map per device layer (stack order).
   /// Cells covered partially by a block receive the overlapped fraction —
-  /// this is the model input channel described in DESIGN.md.
+  /// each map is one input channel of the models.
   std::vector<std::vector<float>> rasterize(const PowerAssignment& pa,
                                             int ny, int nx) const;
 

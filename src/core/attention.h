@@ -20,7 +20,7 @@ namespace core {
 /// The paper's literal "A_s (x) A_c elementwise" is shape-inconsistent
 /// (A_s is NxN, A_c is CxN); the standard non-local-block reading above is
 /// the faithful executable interpretation — each position aggregates the
-/// value map with its spatial attention weights (see DESIGN.md).
+/// value map with its spatial attention weights.
 ///
 /// The scores, softmax and combination run as one ops::attention call,
 /// row-blocked over query positions: no [B, N, N] tensor is materialized in

@@ -39,8 +39,8 @@ class SauFno : public nn::Module {
     AttentionPlacement attention = AttentionPlacement::kLast;
 
     /// The published configuration for Chip1/Chip2 ([12,12,2], attention on
-    /// the last layer). Width differs from the paper's text (which is
-    /// internally inconsistent, see DESIGN.md); 16 fits the CPU budget.
+    /// the last layer). The paper's text does not fix one width (its
+    /// statements disagree); 16 fits the CPU budget.
     static Config chip_default(int64_t in_ch, int64_t out_ch);
   };
 

@@ -13,35 +13,6 @@ namespace saufno {
 namespace runtime {
 namespace {
 
-/// Nesting depth of task execution on the calling thread: 0 at top level,
-/// d+1 while running a chunk of a loop called at depth d. A worker picking
-/// a chunk off the pool inherits the CALLER's depth (carried in the loop),
-/// not its own history, so depth is a property of the lexical task tree —
-/// identical for every thread count, which keeps decomposition decisions
-/// scheduling-independent.
-int& task_depth_ref() {
-  thread_local int depth = 0;
-  return depth;
-}
-
-/// Depth cap for decomposition: loops nested deeper than this run their
-/// chunks inline (same chunk boundaries, chunk order). Three levels cover
-/// the deepest real seam — a gemm's row blocks inside a bmm's batch loop
-/// inside an engine batch partition — and the fourth leaves one spare
-/// before fan-out overhead outweighs the win on leaf kernels.
-constexpr int kMaxTaskDepth = 4;
-
-/// RAII depth override around a chunk body.
-struct DepthScope {
-  int prev;
-  explicit DepthScope(int depth) : prev(task_depth_ref()) {
-    task_depth_ref() = depth;
-  }
-  ~DepthScope() { task_depth_ref() = prev; }
-  DepthScope(const DepthScope&) = delete;
-  DepthScope& operator=(const DepthScope&) = delete;
-};
-
 /// Shared state of one parallel_for call. Kept alive by shared_ptr because a
 /// worker may wake after the caller has already collected all chunks and
 /// returned; such a late worker only reads `next`/`n_chunks` and exits.
@@ -50,7 +21,6 @@ struct LoopState {
   int64_t end = 0;
   int64_t grain = 1;
   int64_t n_chunks = 0;
-  int chunk_depth = 1;  // task_depth while a chunk of THIS loop executes
   const std::function<void(int64_t, int64_t)>* fn = nullptr;
 
   std::atomic<int64_t> next{0};
@@ -61,7 +31,6 @@ struct LoopState {
   std::condition_variable cv;
 
   void run_chunks() {
-    DepthScope scope(chunk_depth);
     for (;;) {
       const int64_t c = next.fetch_add(1, std::memory_order_relaxed);
       if (c >= n_chunks) break;
@@ -83,16 +52,6 @@ struct LoopState {
   }
 };
 
-/// Wait for every chunk of `st` to finish. The caller has already run
-/// run_chunks() to exhaustion, so every chunk left is running on another
-/// thread; parallel_for.h explains why this wait cannot deadlock.
-void wait_all(LoopState& st) {
-  std::unique_lock<std::mutex> lk(st.m);
-  st.cv.wait(lk, [&] {
-    return st.done.load(std::memory_order_acquire) == st.n_chunks;
-  });
-}
-
 }  // namespace
 
 void parallel_for(int64_t begin, int64_t end, int64_t grain,
@@ -103,13 +62,9 @@ void parallel_for(int64_t begin, int64_t end, int64_t grain,
   const int64_t n_chunks = (n + grain - 1) / grain;
 
   ThreadPool& pool = ThreadPool::instance();
-  const int depth = task_depth_ref();
-  if (pool.num_threads() <= 1 || n_chunks <= 1 || depth >= kMaxTaskDepth) {
+  if (pool.num_threads() <= 1 || n_chunks <= 1) {
     // Inline path runs the SAME chunking in chunk order so reductions built
-    // on per-chunk partials match the decomposed path bit-for-bit. The
-    // depth still advances, so nested decomposition decisions see the same
-    // task tree whatever path was taken.
-    DepthScope scope(depth + 1);
+    // on per-chunk partials match the decomposed path bit-for-bit.
     for (int64_t c = 0; c < n_chunks; ++c) {
       const int64_t b = begin + c * grain;
       fn(b, std::min(end, b + grain));
@@ -122,7 +77,6 @@ void parallel_for(int64_t begin, int64_t end, int64_t grain,
   state->end = end;
   state->grain = grain;
   state->n_chunks = n_chunks;
-  state->chunk_depth = depth + 1;
   state->fn = &fn;  // caller blocks below, so the reference stays valid
 
   const int helpers = static_cast<int>(
@@ -132,7 +86,12 @@ void parallel_for(int64_t begin, int64_t end, int64_t grain,
   }
   state->run_chunks();
 
-  wait_all(*state);
+  // Every chunk still unfinished is running on a worker; parallel_for.h
+  // explains why this wait cannot deadlock.
+  std::unique_lock<std::mutex> lk(state->m);
+  state->cv.wait(lk, [&] {
+    return state->done.load(std::memory_order_acquire) == n_chunks;
+  });
   if (state->has_error.load()) std::rethrow_exception(state->eptr);
 }
 

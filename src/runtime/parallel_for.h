@@ -16,14 +16,16 @@ namespace runtime {
 /// workers plus the calling thread; the call returns once all chunks have
 /// finished. The first exception thrown by `fn` is rethrown on the caller.
 ///
-/// This is the runtime's only fork-join primitive. Nested calls (fn itself
-/// calling parallel_for) DECOMPOSE onto the pool like top-level ones, up to
-/// 4 levels deep; deeper loops run their chunks inline, in chunk order.
-/// The caller claims chunks until none is left, then the join just waits.
-/// It cannot deadlock: only a thread that is running a chunk can claim it,
-/// so every wait is for chunks that are running, and a running chunk can
-/// only wait on a strictly more deeply nested loop. Every chain of waits
-/// therefore ends at a chunk that is making progress.
+/// This is the runtime's only fork-join primitive. A call at more than one
+/// lane queues up to lanes-1 helper tasks; each helper, like the caller,
+/// claims chunks from the loop's shared counter until none is left. Nested
+/// calls (fn itself calling parallel_for) decompose the same way at every
+/// depth. Once the caller finds no chunk left, the join just waits. It
+/// cannot deadlock: a join waits only for chunks that are already running,
+/// never for a queued helper (a helper that starts late finds no chunk and
+/// returns). A running chunk can only block in the join of a loop it called
+/// itself, one level deeper, so every chain of waits is finite and ends at
+/// a chunk that is making progress.
 void parallel_for(int64_t begin, int64_t end, int64_t grain,
                   const std::function<void(int64_t, int64_t)>& fn);
 

@@ -23,24 +23,6 @@ int64_t now_us() {
       .count();
 }
 
-/// Pool telemetry. Counters are process-wide (the pool is a singleton);
-/// idle time is measured only around the cv sleep (2 clock reads per
-/// sleep/wake cycle — off the task-execution fast path), and per-task busy
-/// time only under SAUFNO_PROFILE_KERNELS so a fine-grained parallel_for is
-/// never taxed with clock reads by default.
-struct PoolMetrics {
-  obs::Counter& submitted = obs::counter("pool.tasks_submitted");
-  obs::Counter& inline_runs = obs::counter("pool.tasks_inline");
-  obs::Counter& steals = obs::counter("pool.tasks_stolen");
-  obs::Counter& idle_us = obs::counter("pool.worker_idle_us");
-  obs::Counter& busy_us = obs::counter("pool.worker_busy_us");
-};
-
-PoolMetrics& pool_metrics() {
-  static PoolMetrics m;
-  return m;
-}
-
 }  // namespace
 
 ThreadPool& ThreadPool::instance() {
@@ -49,7 +31,7 @@ ThreadPool& ThreadPool::instance() {
 }
 
 ThreadPool::ThreadPool(int n) {
-  start(n);
+  resize(n);
   obs::Registry::instance().register_callback(
       "pool.queue_depth",
       [this] { return static_cast<double>(queued_tasks()); });
@@ -63,118 +45,71 @@ ThreadPool::~ThreadPool() {
   stop_and_join();
 }
 
-void ThreadPool::start(int n) {
-  if (n < 1) n = 1;
-  n_threads_ = n;
-  stop_.store(false, std::memory_order_relaxed);
-  const int n_workers = n - 1;
-  workers_.reserve(static_cast<std::size_t>(n_workers));
-  threads_.reserve(static_cast<std::size_t>(n_workers));
-  for (int i = 0; i < n_workers; ++i) {
-    workers_.push_back(std::make_unique<Worker>());
-  }
-  for (int i = 0; i < n_workers; ++i) {
-    threads_.emplace_back(
-        [this, i] { worker_loop(static_cast<std::size_t>(i)); });
-  }
-}
-
 void ThreadPool::stop_and_join() {
   {
-    std::lock_guard<std::mutex> lk(wake_m_);
-    stop_.store(true, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lk(m_);
+    stop_ = true;
   }
-  wake_cv_.notify_all();
-  for (auto& t : threads_) {
-    if (t.joinable()) t.join();
-  }
+  cv_.notify_all();
+  for (auto& t : threads_) t.join();
   threads_.clear();
-  workers_.clear();
 }
 
 void ThreadPool::resize(int n) {
   if (n < 1) n = 1;
   if (n == n_threads_) return;
   stop_and_join();
-  SAUFNO_CHECK(task_count_.load() == 0,
-               "ThreadPool::resize with tasks still queued");
-  start(n);
+  SAUFNO_CHECK(queue_.empty(), "ThreadPool::resize with tasks still queued");
+  n_threads_ = n;
+  stop_ = false;
+  for (int i = 1; i < n; ++i) {
+    threads_.emplace_back([this] { worker_loop(); });
+  }
 }
 
 void ThreadPool::submit(std::function<void()> task) {
-  PoolMetrics& pm = pool_metrics();
-  if (workers_.empty()) {
-    pm.inline_runs.add();
-    task();
-    return;
-  }
-  pm.submitted.add();
-  const std::size_t idx =
-      static_cast<std::size_t>(next_queue_.fetch_add(1, std::memory_order_relaxed)) %
-      workers_.size();
+  SAUFNO_CHECK(!threads_.empty(), "ThreadPool::submit on a pool of size 1");
+  static obs::Counter& submitted = obs::counter("pool.tasks_submitted");
+  submitted.add();
   {
-    std::lock_guard<std::mutex> lk(workers_[idx]->m);
-    workers_[idx]->q.push_back(std::move(task));
+    std::lock_guard<std::mutex> lk(m_);
+    queue_.push_back(std::move(task));
   }
-  {
-    // Bump the count under the wake mutex: a worker that just evaluated the
-    // wait predicate cannot block before seeing this increment, so the
-    // notification is never lost.
-    std::lock_guard<std::mutex> lk(wake_m_);
-    task_count_.fetch_add(1, std::memory_order_release);
-  }
-  wake_cv_.notify_one();
+  cv_.notify_one();
 }
 
-bool ThreadPool::run_one(std::size_t id) {
-  std::function<void()> task;
-  // Own deque first, newest task (LIFO keeps the working set warm)...
-  {
-    Worker& w = *workers_[id];
-    std::lock_guard<std::mutex> lk(w.m);
-    if (!w.q.empty()) {
-      task = std::move(w.q.back());
-      w.q.pop_back();
-    }
-  }
-  // ...then steal the oldest task from a sibling (FIFO spreads big batches).
-  if (!task) {
-    const std::size_t n = workers_.size();
-    for (std::size_t k = 1; k < n && !task; ++k) {
-      Worker& v = *workers_[(id + k) % n];
-      std::lock_guard<std::mutex> lk(v.m);
-      if (!v.q.empty()) {
-        task = std::move(v.q.front());
-        v.q.pop_front();
-        pool_metrics().steals.add();
-      }
-    }
-  }
-  if (!task) return false;
-  task_count_.fetch_sub(1, std::memory_order_acq_rel);
-  if (obs::profile_kernels()) {
-    const int64_t t0 = now_us();
-    task();
-    pool_metrics().busy_us.add(now_us() - t0);
-  } else {
-    task();
-  }
-  return true;
+int64_t ThreadPool::queued_tasks() const {
+  std::lock_guard<std::mutex> lk(m_);
+  return static_cast<int64_t>(queue_.size());
 }
 
-void ThreadPool::worker_loop(std::size_t id) {
+/// Idle time is measured only around the cv sleep (2 clock reads per
+/// sleep/wake cycle, off the task-execution fast path), and per-task busy
+/// time only under SAUFNO_PROFILE_KERNELS so a fine-grained parallel_for is
+/// never taxed with clock reads by default.
+void ThreadPool::worker_loop() {
+  static obs::Counter& idle_us = obs::counter("pool.worker_idle_us");
+  static obs::Counter& busy_us = obs::counter("pool.worker_busy_us");
   for (;;) {
-    if (run_one(id)) continue;
-    std::unique_lock<std::mutex> lk(wake_m_);
-    const int64_t t0 = now_us();
-    wake_cv_.wait(lk, [this] {
-      return stop_.load(std::memory_order_relaxed) ||
-             task_count_.load(std::memory_order_acquire) > 0;
-    });
-    pool_metrics().idle_us.add(now_us() - t0);
-    if (stop_.load(std::memory_order_relaxed) &&
-        task_count_.load(std::memory_order_acquire) == 0) {
-      return;
+    std::function<void()> task;
+    {
+      std::unique_lock<std::mutex> lk(m_);
+      if (queue_.empty() && !stop_) {
+        const int64_t t0 = now_us();
+        cv_.wait(lk, [this] { return stop_ || !queue_.empty(); });
+        idle_us.add(now_us() - t0);
+      }
+      // Drain before exiting, so resize never drops a queued task.
+      if (queue_.empty()) return;
+      task = std::move(queue_.front());
+      queue_.pop_front();
+    }
+    if (obs::profile_kernels()) {
+      const int64_t t0 = now_us();
+      task();
+      busy_us.add(now_us() - t0);
+    } else {
+      task();
     }
   }
 }

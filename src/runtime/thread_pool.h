@@ -1,11 +1,9 @@
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -13,7 +11,7 @@
 namespace saufno {
 namespace runtime {
 
-/// Process-wide work-stealing thread pool.
+/// Process-wide thread pool: N-1 workers sharing one FIFO task queue.
 ///
 /// Sized once on first use from the SAUFNO_NUM_THREADS environment variable
 /// (default: hardware_concurrency); `resize()` exists so tests and benches
@@ -22,12 +20,10 @@ namespace runtime {
 /// executes chunks alongside the workers, so `SAUFNO_NUM_THREADS=1` means
 /// fully inline execution with zero worker threads.
 ///
-/// Scheduling: `submit` pushes onto per-worker deques round-robin; a worker
-/// drains its own deque LIFO (cache-warm) and, when empty, steals FIFO from
-/// its siblings before sleeping. Only workers run queued tasks: a thread
-/// waiting in a `parallel_for` join just waits. The pool never reorders the
-/// *results* of the kernels built on top of it: `parallel_for` chunk
-/// boundaries depend only on the grain (see parallel_for.h), so every
+/// Only workers run queued tasks: a thread waiting in a `parallel_for` join
+/// just waits. Every task `parallel_for` queues claims chunks from its loop's
+/// shared counter, so which worker takes which task changes nothing, and
+/// chunk boundaries depend only on the grain (see parallel_for.h): every
 /// thread count produces bit-identical tensors.
 class ThreadPool {
  public:
@@ -47,37 +43,24 @@ class ThreadPool {
   /// it exists for benches/tests that sweep thread counts.
   void resize(int n);
 
-  /// Enqueue a task for asynchronous execution. With no workers (pool size
-  /// 1) the task runs inline on the calling thread.
+  /// Enqueue a task for a worker. The pool must have workers (size >= 2).
   void submit(std::function<void()> task);
 
   /// Tasks currently queued (submitted, not yet started). Scrape-side
   /// accessor for the `pool.queue_depth` callback gauge.
-  int64_t queued_tasks() const {
-    return task_count_.load(std::memory_order_relaxed);
-  }
+  int64_t queued_tasks() const;
 
  private:
   explicit ThreadPool(int n);
-  void start(int n);
   void stop_and_join();
-  void worker_loop(std::size_t id);
-  /// Pop own work (LIFO) or steal from a sibling (FIFO); true if a task ran.
-  bool run_one(std::size_t id);
+  void worker_loop();
 
-  struct Worker {
-    std::mutex m;
-    std::deque<std::function<void()>> q;
-  };
-
-  std::vector<std::unique_ptr<Worker>> workers_;
+  mutable std::mutex m_;
+  std::condition_variable cv_;
+  std::deque<std::function<void()>> queue_;
+  bool stop_ = false;
   std::vector<std::thread> threads_;
   int n_threads_ = 1;
-  std::atomic<std::uint64_t> next_queue_{0};
-  std::atomic<std::int64_t> task_count_{0};
-  std::atomic<bool> stop_{false};
-  std::mutex wake_m_;
-  std::condition_variable wake_cv_;
 };
 
 }  // namespace runtime

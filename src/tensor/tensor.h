@@ -20,7 +20,7 @@ std::vector<int64_t> contiguous_strides(const Shape& s);
 
 /// Dense row-major float32 tensor with shared storage.
 ///
-/// Design notes (see DESIGN.md §system inventory):
+/// Design notes:
 ///  - Always contiguous. View-producing ops (`reshape`) share storage; all
 ///    layout-changing ops (`permute`, `slice`, ...) copy. On a single CPU
 ///    core the copies are cheap relative to the gemm/FFT work and the

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstring>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -84,29 +86,61 @@ TEST(ParallelFor, NestedCallsCoverEveryIndex) {
   EXPECT_EQ(total.load(), 80);
 }
 
-TEST(ParallelFor, DepthCapRunsDeepLoopsInlineInChunkOrder) {
-  PoolSize guard(4);
-  // Beyond the depth cap (4 levels) loops must fall back to the inline
-  // path; chunk order there is sequential, so the recorded boundaries are
-  // exactly [0,2),[2,4),...
-  std::vector<std::pair<int64_t, int64_t>> chunks;
-  parallel_for(0, 1, 1, [&](int64_t, int64_t) {
-    parallel_for(0, 1, 1, [&](int64_t, int64_t) {
-      parallel_for(0, 1, 1, [&](int64_t, int64_t) {
-        parallel_for(0, 1, 1, [&](int64_t, int64_t) {
-          // Depth 5 > cap: runs inline on this thread, in order.
-          parallel_for(0, 8, 2, [&](int64_t b, int64_t e) {
-            chunks.emplace_back(b, e);
-          });
-        });
+TEST(ParallelFor, SixNestedLevelsCoverEveryIndexAndMatchPoolOne) {
+  // Every level decomposes onto the pool. Six levels of 3 chunks each
+  // address 3^6 leaves; each leaf must write its own slot exactly once, and
+  // the output must match pool 1 bit for bit.
+  constexpr int kLevels = 6, kFan = 3, kLeaves = 729;  // kFan^kLevels
+  auto compute = [&] {
+    std::vector<std::atomic<int>> hits(kLeaves);
+    for (auto& h : hits) h.store(0);
+    std::vector<float> out(kLeaves, 0.0f);
+    std::function<void(int, int64_t)> level = [&](int depth, int64_t base) {
+      parallel_for(0, kFan, 1, [&, depth, base](int64_t b, int64_t e) {
+        for (int64_t i = b; i < e; ++i) {
+          const int64_t idx = base * kFan + i;
+          if (depth + 1 < kLevels) {
+            level(depth + 1, idx);
+          } else {
+            hits[static_cast<std::size_t>(idx)]++;
+            out[static_cast<std::size_t>(idx)] =
+                std::sqrt(static_cast<float>(idx)) * 0.37f + 1.0f;
+          }
+        }
       });
-    });
-  });
-  ASSERT_EQ(chunks.size(), 4u);
-  for (std::size_t c = 0; c < 4; ++c) {
-    EXPECT_EQ(chunks[c].first, static_cast<int64_t>(2 * c));
-    EXPECT_EQ(chunks[c].second, static_cast<int64_t>(2 * c + 2));
+    };
+    level(0, 0);
+    for (int64_t i = 0; i < kLeaves; ++i) {
+      EXPECT_EQ(hits[static_cast<std::size_t>(i)].load(), 1) << "leaf " << i;
+    }
+    return out;
+  };
+  ThreadPool::instance().resize(1);
+  const std::vector<float> ref = compute();
+  PoolSize guard(4);
+  const std::vector<float> got = compute();
+  EXPECT_EQ(std::memcmp(got.data(), ref.data(), sizeof(float) * ref.size()), 0);
+}
+
+TEST(ParallelFor, SubmitsOneTaskPerExtraLaneUpToChunksMinusOne) {
+  // perfbench's runtime.pool.tasks_per_forward divides pool.tasks_submitted
+  // by plan.runs, so a decomposed loop must queue exactly
+  // min(lanes - 1, chunks - 1) helpers, and an inline one none.
+  obs::Counter& submitted = obs::counter("pool.tasks_submitted");
+  auto tasks_for = [&](int64_t chunks) {
+    const int64_t before = submitted.value();
+    parallel_for(0, chunks, 1, [](int64_t, int64_t) {});
+    return submitted.value() - before;
+  };
+  {
+    PoolSize guard(4);
+    EXPECT_EQ(tasks_for(1), 0);
+    EXPECT_EQ(tasks_for(2), 1);
+    EXPECT_EQ(tasks_for(3), 2);
+    EXPECT_EQ(tasks_for(4), 3);
+    EXPECT_EQ(tasks_for(100), 3);
   }
+  EXPECT_EQ(tasks_for(100), 0);  // pool 1: inline, nothing queued
 }
 
 TEST(ParallelFor, NestedLoopsAreBitIdenticalAcrossThreadCounts) {
