@@ -10,6 +10,12 @@
 // d = c = 12 (the zoo's SAU-FNO width) and 32, and memcmp the two outputs;
 // a mismatch exits nonzero in every mode.
 //
+// The conv2d rows time the forward convolution (ops::fwd::conv2d_into,
+// bias + ReLU as the U-Net runs it) at the two widest per-partition convs
+// of sweep_64, [4,12,64,64] -> 12 (in_conv) and [4,36,64,64] -> 12 (dec0),
+// and memcmp it against the unfused per-item im2col -> gemm -> +bias ->
+// ReLU chain; a mismatch exits nonzero in every mode.
+//
 // Also times the compiled-execution-plan forward (plan::PlanRunner) against
 // the define-by-run interpreter on the same weights and input: the two are
 // bit-identical by construction and run the same fused kernels, so the
@@ -30,7 +36,9 @@
 #include <string>
 #include <vector>
 
+#include "../tests/conv2d_reference.h"
 #include "../tests/gemm_seed_reference.h"
+#include "autograd/conv_ops.h"
 #include "common/json_writer.h"
 #include "common/rng.h"
 #include "common/timer.h"
@@ -165,6 +173,48 @@ AttentionBench bench_attention(int64_t batch, int64_t n, int64_t c,
   return r;
 }
 
+struct ConvBench {
+  std::string name;
+  int64_t batch = 0, cin = 0, hw = 0, cout = 0;
+  double ms = 0.0;
+  double gflops = 0.0;
+  bool bitwise_equal = false;
+};
+
+/// conv2d_into with a 3x3 kernel, pad 1, bias and ReLU on [batch, cin, hw,
+/// hw] -> cout. GFLOP/s counts the product, 2 * batch * cout * cin * 9 *
+/// hw^2 flops.
+ConvBench bench_conv(const std::string& name, int64_t batch, int64_t cin,
+                     int64_t hw, int64_t cout, bool smoke) {
+  ConvBench r;
+  r.name = name;
+  r.batch = batch;
+  r.cin = cin;
+  r.hw = hw;
+  r.cout = cout;
+  Rng rng(static_cast<std::uint64_t>(31 * cin + cout));
+  const Tensor x = Tensor::randn({batch, cin, hw, hw}, rng);
+  const Tensor w = Tensor::randn({cout, cin, 3, 3}, rng);
+  const Tensor bias = Tensor::randn({cout}, rng);
+  Tensor out({batch, cout, hw, hw});
+  r.ms = 1e3 * time_per_call(smoke ? 8 : 20, [&] {
+    ops::fwd::conv2d_into(x, w, &bias, 1, 1, Act::kRelu, out);
+  });
+  const Tensor want = conv2d_reference(x, w, &bias, 1, 1, Act::kRelu);
+  r.gflops = 2.0 * static_cast<double>(batch * cout * cin * 9 * hw * hw) /
+             r.ms * 1e-6;
+  r.bitwise_equal =
+      std::memcmp(out.data(), want.data(),
+                  sizeof(float) * static_cast<std::size_t>(out.numel())) == 0;
+  std::printf("conv2d %-8s [%lld, %lld, %lld, %lld] -> %lld: %.3f ms  "
+              "%.1f GFLOP/s  (%s)\n",
+              name.c_str(), static_cast<long long>(batch),
+              static_cast<long long>(cin), static_cast<long long>(hw),
+              static_cast<long long>(hw), static_cast<long long>(cout), r.ms,
+              r.gflops, r.bitwise_equal ? "bit-identical" : "OUTPUTS DIFFER");
+  return r;
+}
+
 struct PlanBench {
   double compile_ms = 0.0;
   double speedup = 0.0;  // interpreted sec/call over plan sec/call
@@ -236,7 +286,8 @@ PlanBench bench_plan(bool smoke) {
 
 void write_json(const char* path, bool smoke, double ref_speedup,
                 const PlanBench& plan,
-                const std::vector<AttentionBench>& attn) {
+                const std::vector<AttentionBench>& attn,
+                const std::vector<ConvBench>& convs) {
   JsonWriter w;
   w.begin_object();
   w.field("bench", "bench_kernels");
@@ -266,6 +317,22 @@ void write_json(const char* path, bool smoke, double ref_speedup,
     w.field("speedup", a.ms_composed / a.ms_fused, 4);
     w.field("gflops_fused", a.gflops_fused, 4);
     w.field("bitwise_equal", a.bitwise_equal);
+    w.end_object();
+  }
+  w.end_array();
+  w.key("conv2d");
+  w.begin_array();
+  for (const ConvBench& c : convs) {
+    w.begin_object();
+    w.field("name", c.name);
+    w.field("threads", runtime::ThreadPool::instance().num_threads());
+    w.field("batch", c.batch);
+    w.field("cin", c.cin);
+    w.field("hw", c.hw);
+    w.field("cout", c.cout);
+    w.field("ms", c.ms, 4);
+    w.field("gflops", c.gflops, 4);
+    w.field("bitwise_equal", c.bitwise_equal);
     w.end_object();
   }
   w.end_array();
@@ -329,15 +396,30 @@ int main(int argc, char** argv) {
     attn.push_back(smoke ? bench_attention(2, 200, c, smoke)
                          : bench_attention(8, 4096, c, smoke));
   }
+  // sweep_64's per-partition in_conv and dec0 (B = 4 at 64x64); smoke
+  // runs them at 24x24, where panels straddle output rows.
+  std::printf("\n");
+  std::vector<ConvBench> convs;
+  convs.push_back(bench_conv("in_conv", smoke ? 2 : 4, 12, smoke ? 24 : 64,
+                             12, smoke));
+  convs.push_back(bench_conv("dec0", smoke ? 2 : 4, 36, smoke ? 24 : 64, 12,
+                             smoke));
   const PlanBench plan = bench_plan(smoke);
 
-  write_json("BENCH_kernels.json", smoke, ref.speedup, plan, attn);
+  write_json("BENCH_kernels.json", smoke, ref.speedup, plan, attn, convs);
 
   int rc = 0;
   for (const AttentionBench& a : attn) {
     if (!a.bitwise_equal) {
       std::printf("FAIL: fused attention differs from the composed chain at "
                   "c = %lld\n", static_cast<long long>(a.c));
+      rc = 1;
+    }
+  }
+  for (const ConvBench& c : convs) {
+    if (!c.bitwise_equal) {
+      std::printf("FAIL: conv2d_into differs from im2col -> gemm -> bias -> "
+                  "ReLU at %s\n", c.name.c_str());
       rc = 1;
     }
   }

@@ -1,11 +1,15 @@
 #include "autograd/conv_ops.h"
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
 #include "autograd/ops.h"
+#include "common/fault.h"
 #include "common/logging.h"
+#include "obs/kernel_profile.h"
 #include "plan/trace.h"
+#include "runtime/parallel_for.h"
 #include "runtime/workspace.h"
 #include "tensor/kernels.h"
 #include "tensor/tensor_ops.h"
@@ -42,30 +46,44 @@ void conv2d_into(const Tensor& x, const Tensor& w, const Tensor* bias,
                  "conv2d bias must be [Cout]");
   }
 
-  // The columns go straight into gemm's packed-B layout: one buffer, and
-  // the same bits as im2col followed by gemm.
-  runtime::Scratch<float> cols(
-      static_cast<std::size_t>(gemm_packed_b_floats(ck, plane)));
-  for (int64_t n = 0; n < B; ++n) {
-    im2col_packed(x.data() + n * cin * h * w_in, cols.data(), cin, h, w_in,
-                  kh, kw, stride, pad);
-    float* dst = out.data() + n * cout * plane;
-    // out[n] = W[cout, ck] * cols[ck, plane]
-    gemm_prepacked_b(w.data(), cols.data(), dst, cout, plane, ck,
-                     /*accumulate=*/false);
-    if (bias != nullptr) {
-      const float* bp = bias->data();
+  static obs::Histogram& prof_hist = obs::histogram("kernel.conv2d_us");
+  obs::KernelTimer prof_timer(prof_hist, "kernel.conv2d");
+  // One "gemm" fault-point evaluation per batch item, the rate the chaos
+  // tests' gemm fault probabilities are sized for.
+  for (int64_t n = 0; n < B; ++n) SAUFNO_FAULT_POINT("gemm");
+
+  // out[n] = W[cout, ck] * cols[ck, plane], split over (batch item x runs
+  // of per_chunk 16-column panels). W is packed once; each chunk builds
+  // its panels' columns into <= 128 KB of lane scratch, multiplies, and
+  // applies bias then activation to its cout x ncols tile while it is
+  // still in cache. Every output element is still gemm_packed's one
+  // k-ordered chain, so the split cannot change a bit.
+  runtime::Scratch<float> apack(
+      static_cast<std::size_t>(gemm_packed_a_floats(cout, ck)));
+  gemm_pack_a(w.data(), ck, cout, ck, apack.data());
+  const int64_t per_chunk =
+      std::max<int64_t>(1, 32768 / (ck * kGemmPanelCols));
+  const int64_t span = per_chunk * kGemmPanelCols;
+  const int64_t chunks = (plane + span - 1) / span;
+  runtime::parallel_for(0, B * chunks, 1, [&](int64_t t0, int64_t t1) {
+    runtime::Scratch<float> cols(
+        static_cast<std::size_t>(gemm_packed_b_floats(ck, span)));
+    for (int64_t t = t0; t < t1; ++t) {
+      const int64_t n = t / chunks;
+      const int64_t c0 = t % chunks * span;
+      const int64_t nc = std::min(span, plane - c0);
+      im2col_packed_cols(x.data() + n * cin * h * w_in, cols.data(), cin, h,
+                         w_in, kh, kw, stride, pad, c0, nc);
+      float* dst = out.data() + n * cout * plane + c0;
+      gemm_packed(apack.data(), cols.data(), dst, plane, cout, nc, ck,
+                  /*accumulate=*/false);
+      if (bias == nullptr && act == Act::kNone) continue;
       for (int64_t co = 0; co < cout; ++co) {
-        float* row = dst + co * plane;
-        for (int64_t i = 0; i < plane; ++i) row[i] += bp[co];
+        bias_act_row(dst + co * plane, nc,
+                     bias != nullptr ? bias->data() + co : nullptr, act);
       }
     }
-    if (act != Act::kNone) {
-      for (int64_t i = 0; i < cout * plane; ++i) {
-        dst[i] = act_apply(act, dst[i]);
-      }
-    }
-  }
+  });
 }
 
 void maxpool2d_into(const Tensor& x, int64_t kernel, int64_t* argmax,

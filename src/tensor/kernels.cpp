@@ -270,14 +270,11 @@ void gemm(const float* a, const float* b, float* c, int64_t m, int64_t n,
     gemm_pack_b(b + j0, n, k, std::min(n, p1 * kNR) - j0,
                 bpack.data() + p0 * k * kNR);
   });
-  gemm_prepacked_b(a, bpack.data(), c, m, n, k, accumulate);
-}
 
-void gemm_prepacked_b(const float* a, const float* bp, float* c, int64_t m,
-                      int64_t n, int64_t k, bool accumulate) {
   SAUFNO_FAULT_POINT("gemm");
-  // SAUFNO_PROFILE_KERNELS: time every gemm into the registry (and the
-  // trace when one is live). Off by default — a relaxed load and a branch.
+  // SAUFNO_PROFILE_KERNELS: time every gemm's tile loop into the registry
+  // (and the trace when one is live). Off by default — a relaxed load and
+  // a branch.
   static obs::Histogram& prof_hist = obs::histogram("kernel.gemm_us");
   obs::KernelTimer prof_timer(prof_hist, "kernel.gemm");
   if (m <= 0 || n <= 0) return;
@@ -290,9 +287,9 @@ void gemm_prepacked_b(const float* a, const float* bp, float* c, int64_t m,
   }
 
   // Row-chunk grain: MR-aligned, sized so a chunk's packed A slab stays
-  // ~128 KB, but small enough that short-m gemms (conv's cout x plane) still
-  // split across threads. Grain depends only on the shape — never on the
-  // thread count — so chunk boundaries (and C) are reproducible.
+  // ~128 KB, but small enough that short-m gemms still split across
+  // threads. Grain depends only on the shape — never on the thread count —
+  // so chunk boundaries (and C) are reproducible.
   int64_t grain = 32768 / std::max<int64_t>(1, k);
   grain = std::min(grain, (m + 7) / 8);
   grain = std::max<int64_t>(kMR, (grain / kMR) * kMR);
@@ -301,7 +298,8 @@ void gemm_prepacked_b(const float* a, const float* bp, float* c, int64_t m,
     runtime::Scratch<float> apack(
         static_cast<std::size_t>(gemm_packed_a_floats(r1 - r0, k)));
     gemm_pack_a(a + r0 * k, k, r1 - r0, k, apack.data());
-    gemm_packed(apack.data(), bp, c + r0 * n, n, r1 - r0, n, k, accumulate);
+    gemm_packed(apack.data(), bpack.data(), c + r0 * n, n, r1 - r0, n, k,
+                accumulate);
   });
 }
 
@@ -338,39 +336,70 @@ void im2col(const float* img, float* cols, int64_t c, int64_t h, int64_t w,
   });
 }
 
-void im2col_packed(const float* img, float* bp, int64_t c, int64_t h,
-                   int64_t w, int64_t kh, int64_t kw, int64_t stride,
-                   int64_t pad) {
-  const int64_t oh = conv_out_size(h, kh, stride, pad);
+void im2col_packed_cols(const float* img, float* bp, int64_t c, int64_t h,
+                        int64_t w, int64_t kh, int64_t kw, int64_t stride,
+                        int64_t pad, int64_t col0, int64_t ncols) {
   const int64_t ow = conv_out_size(w, kw, stride, pad);
-  const int64_t plane = oh * ow;
   const int64_t ck = c * kh * kw;
-  const int64_t padded = (plane + kNR - 1) / kNR * kNR;
-  // Column `col` of row kk lives at bp[(col / NR * ck + kk) * NR + col % NR].
-  // Channels own disjoint rows kk, as in im2col.
-  runtime::parallel_for(0, c, 1, [&](int64_t c0, int64_t c1) {
-    for (int64_t ci = c0; ci < c1; ++ci) {
-      const float* src = img + ci * h * w;
-      for (int64_t ki = 0; ki < kh; ++ki) {
-        for (int64_t kj = 0; kj < kw; ++kj) {
-          float* row = bp + ((ci * kh + ki) * kw + kj) * kNR;
-          int64_t col = 0;
-          for (int64_t oi = 0; oi < oh; ++oi) {
-            const int64_t ii = oi * stride + ki - pad;
-            const bool in_rows = ii >= 0 && ii < h;
-            for (int64_t oj = 0; oj < ow; ++oj, ++col) {
-              const int64_t jj = oj * stride + kj - pad;
-              row[col / kNR * ck * kNR + col % kNR] =
-                  (in_rows && jj >= 0 && jj < w) ? src[ii * w + jj] : 0.f;
-            }
+  // Row kk = (ci * kh + ki) * kw + kj of a panel starts at kk * NR, so one
+  // tap (ki, kj) steps kh * kw * NR floats from channel to channel.
+  const int64_t cstep = kh * kw * kNR;
+  // The range is walked in segments that stay inside one output row and
+  // one packed panel: for each tap a segment is one run of at most NR
+  // floats in the panel, read from one source row with zeroed edges. Only
+  // the first segment divides by ow.
+  int64_t oi = col0 / ow, oj = col0 % ow;
+  for (int64_t l = 0; l < ncols;) {
+    const int64_t lane = l % kNR;
+    const int64_t len = std::min({ow - oj, kNR - lane, ncols - l});
+    float* seg = bp + l / kNR * ck * kNR + lane;
+    for (int64_t ki = 0; ki < kh; ++ki) {
+      const int64_t ii = oi * stride + ki - pad;
+      for (int64_t kj = 0; kj < kw; ++kj) {
+        float* dst = seg + (ki * kw + kj) * kNR;
+        if (ii < 0 || ii >= h) {
+          for (int64_t ci = 0; ci < c; ++ci, dst += cstep) {
+            for (int64_t t = 0; t < len; ++t) dst[t] = 0.f;
           }
-          for (; col < padded; ++col) {
-            row[col / kNR * ck * kNR + col % kNR] = 0.f;
+          continue;
+        }
+        // Source column of t is jj0 + t * stride; t in [lo, hi) is inside
+        // the row.
+        const int64_t jj0 = oj * stride + kj - pad;
+        const int64_t lo = std::clamp<int64_t>(
+            jj0 >= 0 ? 0 : (stride - 1 - jj0) / stride, 0, len);
+        const int64_t hi = std::clamp<int64_t>(
+            jj0 >= w ? 0 : (w - jj0 + stride - 1) / stride, lo, len);
+        if (stride == 1 && lo == 0 && hi == kNR) {
+          for (int64_t ci = 0; ci < c; ++ci, dst += cstep) {
+            std::memcpy(dst, img + (ci * h + ii) * w + jj0,
+                        sizeof(float) * kNR);
           }
+          continue;
+        }
+        for (int64_t ci = 0; ci < c; ++ci, dst += cstep) {
+          const float* src = img + (ci * h + ii) * w;
+          for (int64_t t = 0; t < lo; ++t) dst[t] = 0.f;
+          for (int64_t t = lo; t < hi; ++t) dst[t] = src[jj0 + t * stride];
+          for (int64_t t = hi; t < len; ++t) dst[t] = 0.f;
         }
       }
     }
-  });
+    l += len;
+    oj += len;
+    if (oj == ow) {
+      oj = 0;
+      ++oi;
+    }
+  }
+  // Dead lanes of the last panel, zero-filled as gemm_pack_b leaves them.
+  const int64_t live = ncols % kNR;
+  if (live != 0) {
+    float* last = bp + ncols / kNR * ck * kNR;
+    for (int64_t kk = 0; kk < ck; ++kk, last += kNR) {
+      for (int64_t j = live; j < kNR; ++j) last[j] = 0.f;
+    }
+  }
 }
 
 void col2im(const float* cols, float* img, int64_t c, int64_t h, int64_t w,

@@ -7,9 +7,9 @@ namespace saufno {
 /// Row-major sgemm: C[M,N] (+)= A[M,K] * B[K,N].
 ///
 /// Packed, cache-blocked implementation: B is packed once into NR-wide
-/// column panels (gemm_pack_b), then gemm_prepacked_b runs a parallel_for
-/// over MR-aligned row chunks that each pack their rows of A (gemm_pack_a)
-/// and run the serial tile loop gemm_packed on them: an MR x NR register-tiled microkernel
+/// column panels (gemm_pack_b), then a parallel_for over MR-aligned row
+/// chunks has each chunk pack its rows of A (gemm_pack_a) and run the
+/// serial tile loop gemm_packed on them: an MR x NR register-tiled microkernel
 /// (AVX2+FMA when the CPU has it — see tensor/simd.h — with a portable
 /// auto-vectorizable body otherwise) K-blocked over the panels. Dense and
 /// branch-free: NaN/Inf in either operand propagates per IEEE (no
@@ -23,11 +23,13 @@ void gemm(const float* a, const float* b, float* c, int64_t m, int64_t n,
 //
 // The pieces gemm() is built from, for callers that reuse one packed
 // operand across many products (the fused attention kernel packs each
-// batch item's K and V once per call). All are serial. Each element of
-// gemm_packed's C is one mul-add chain over k in fixed order — K blocks of
-// 512 folded into C in order, never reordered by the panel geometry, the
-// caller's row split or the thread — so any product assembled from these
-// pieces is bit-identical to the same product through gemm().
+// batch item's K and V once per call; the forward conv packs its weights
+// once and builds each chunk's columns with im2col_packed_cols). All are
+// serial. Each element of gemm_packed's C is one mul-add chain over k in
+// fixed order — K blocks of 512 folded into C in order, never reordered by
+// the panel geometry, the caller's row or column split or the thread — so
+// any product assembled from these pieces is bit-identical to the same
+// product through gemm().
 
 /// Columns per packed-B panel (the microkernel's NR): panel p of a packed
 /// B [k, n] holds columns 16p..16p+15 in k * 16 consecutive floats.
@@ -56,12 +58,6 @@ void gemm_pack_b(const float* b, int64_t ldb, int64_t k, int64_t n,
 void gemm_pack_bt(const float* s, int64_t lds, int64_t n, int64_t k,
                   float* bp);
 
-/// gemm() after its B pack: C[m, n] (+)= A[m, k] * B with B already in the
-/// gemm_pack_b layout (for example from im2col_packed), parallel over the
-/// same row chunks, so the result is bit-identical to gemm().
-void gemm_prepacked_b(const float* a, const float* bp, float* c, int64_t m,
-                      int64_t n, int64_t k, bool accumulate);
-
 /// Serial tile loop: C[m, n] (row stride ldc) (+)= A * B from
 /// gemm_pack_a(.., m, k, ap) and gemm_pack_b/gemm_pack_bt(.., k, n, bp).
 void gemm_packed(const float* ap, const float* bp, float* c, int64_t ldc,
@@ -73,13 +69,15 @@ void gemm_packed(const float* ap, const float* bp, float* c, int64_t ldc,
 void im2col(const float* img, float* cols, int64_t c, int64_t h, int64_t w,
             int64_t kh, int64_t kw, int64_t stride, int64_t pad);
 
-/// im2col written straight into the gemm_pack_b layout of the column
-/// buffer (B = cols [C*kh*kw, out_h*out_w]): the same bits as im2col then
-/// gemm_pack_b, without the unpacked buffer. bp holds
-/// gemm_packed_b_floats(C*kh*kw, out_h*out_w) floats.
-void im2col_packed(const float* img, float* bp, int64_t c, int64_t h,
-                   int64_t w, int64_t kh, int64_t kw, int64_t stride,
-                   int64_t pad);
+/// Columns [col0, col0 + ncols) of im2col's [C*kh*kw, out_h*out_w] buffer
+/// for one image [C, H, W], written straight into the gemm_pack_b layout
+/// of that column slice: the same bits as im2col then
+/// gemm_pack_b(cols + col0, out_h*out_w, C*kh*kw, ncols, bp), without the
+/// unpacked buffer. The range may start mid-row and cross row ends. bp
+/// holds gemm_packed_b_floats(C*kh*kw, ncols) floats.
+void im2col_packed_cols(const float* img, float* bp, int64_t c, int64_t h,
+                        int64_t w, int64_t kh, int64_t kw, int64_t stride,
+                        int64_t pad, int64_t col0, int64_t ncols);
 
 /// Adjoint of im2col: scatter-add a column buffer back into an image
 /// gradient of shape [C, H, W] (must be pre-zeroed by the caller).

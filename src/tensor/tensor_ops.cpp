@@ -264,7 +264,8 @@ Tensor map(const Tensor& a, const std::function<float(float)>& f) {
 }
 
 float act_apply(Act act, float v) {
-  // Copies of the unary kernels' expressions; change them in lockstep.
+  // Copies of the unary kernels' expressions; change them (and
+  // bias_act_row's) in lockstep.
   switch (act) {
     case Act::kRelu:
       return v > 0.f ? v : 0.f;
@@ -274,6 +275,29 @@ float act_apply(Act act, float v) {
       break;
   }
   return v;
+}
+
+void bias_act_row(float* row, int64_t n, const float* bias, Act act) {
+  const auto sweep = [&](auto f) {
+    if (bias != nullptr) {
+      const float b = *bias;
+      for (int64_t i = 0; i < n; ++i) row[i] = f(row[i] + b);
+    } else {
+      for (int64_t i = 0; i < n; ++i) row[i] = f(row[i]);
+    }
+  };
+  // act_apply's expressions, one loop per activation.
+  switch (act) {
+    case Act::kRelu:
+      sweep([](float v) { return v > 0.f ? v : 0.f; });
+      break;
+    case Act::kGelu:
+      sweep([](float v) { return gelu_core(v); });
+      break;
+    case Act::kNone:
+      sweep([](float v) { return v; });
+      break;
+  }
 }
 
 void fused_add_act_into(const Tensor& a, const Tensor& b, const Tensor* c,

@@ -125,6 +125,11 @@ enum class Act : std::uint8_t { kNone, kRelu, kGelu };
 /// gelu_into), so a fused activation matches a separate pass bit for bit.
 float act_apply(Act act, float v);
 
+/// row[i] = act_apply(act, row[i] + *bias) over n floats, or
+/// act_apply(act, row[i]) when bias is null: a bias add then the
+/// activation, bit for bit, with the switch on act hoisted out of the loop.
+void bias_act_row(float* row, int64_t n, const float* bias, Act act);
+
 /// Fused out = act(a + b) (c == nullptr) or out = act((a + b) + c).
 /// The 2-input form broadcasts like add(); the 3-input form requires equal
 /// shapes. Per element the arithmetic matches add-then-activation exactly

@@ -16,12 +16,14 @@
 
 #include <gtest/gtest.h>
 
+#include "autograd/conv_ops.h"
 #include "common/json_writer.h"
 #include "common/rng.h"
 #include "obs/export.h"
 #include "obs/kernel_profile.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "tensor/kernels.h"
 
 namespace saufno {
 namespace {
@@ -397,6 +399,31 @@ TEST(KernelProfile, TimerRecordsOnlyWhenEnabled) {
   obs::force_profile_kernels(false);
   EXPECT_EQ(h.count(), 1);
   EXPECT_GT(h.max(), 0.0);  // microseconds, strictly positive
+}
+
+TEST(KernelProfile, ConvAndGemmEachRecordTheirOwnCalls) {
+  // The forward conv runs its own tile loop, not gemm(): one conv call is
+  // one kernel.conv2d_us sample and no kernel.gemm_us sample.
+  Rng rng(3);
+  const Tensor x = Tensor::randn({2, 3, 9, 9}, rng);
+  const Tensor w = Tensor::randn({4, 3, 3, 3}, rng);
+  Tensor out({2, 4, 9, 9});
+  obs::Histogram& conv_us = obs::histogram("kernel.conv2d_us");
+  obs::Histogram& gemm_us = obs::histogram("kernel.gemm_us");
+  const int64_t conv0 = conv_us.count(), gemm0 = gemm_us.count();
+  obs::force_profile_kernels(true);
+  ops::fwd::conv2d_into(x, w, nullptr, 1, 1, Act::kNone, out);
+  obs::force_profile_kernels(false);
+  EXPECT_EQ(conv_us.count() - conv0, 1);
+  EXPECT_EQ(gemm_us.count() - gemm0, 0);
+
+  Tensor c({3, 5});
+  obs::force_profile_kernels(true);
+  gemm(Tensor::randn({3, 4}, rng).data(), Tensor::randn({4, 5}, rng).data(),
+       c.data(), 3, 5, 4, /*accumulate=*/false);
+  obs::force_profile_kernels(false);
+  EXPECT_EQ(conv_us.count() - conv0, 1);
+  EXPECT_EQ(gemm_us.count() - gemm0, 1);
 }
 
 TEST(JsonWriterLib, EscapesAndNests) {

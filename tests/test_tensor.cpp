@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include "autograd/conv_ops.h"
+#include "conv2d_reference.h"
 #include "gemm_seed_reference.h"
+#include "runtime/thread_pool.h"
 #include "tensor/kernels.h"
 #include "tensor/simd.h"
 #include "tensor/tensor_ops.h"
@@ -434,36 +437,88 @@ TEST(Im2Col, RoundTripAgainstDirectConvolution) {
   EXPECT_TRUE(out.allclose(Tensor({4}, {6, 8, 12, 14})));
 }
 
-TEST(Im2Col, PackedMatchesIm2colThenPackB) {
-  // Planes of 221 and 63 columns leave dead lanes in the last 16-wide panel.
+TEST(Im2Col, PackedColumnsMatchIm2colThenPackB) {
+  // Column ranges that start mid-row, cross row ends and end in a partial
+  // panel (dead lanes zero-filled), at output widths 13, 40, 8 and 5 with
+  // pad 1 and at stride 2 with pad 0 (ow 6).
   Rng rng(23);
-  const int64_t c = 5, h = 17, w = 13, kh = 3, kw = 3, cout = 7;
-  const Tensor img = Tensor::randn({c, h, w}, rng);
-  const Tensor wt = Tensor::randn({cout, c * kh * kw}, rng);
-  for (const auto& [stride, pad] : {std::pair<int64_t, int64_t>{1, 1},
-                                    std::pair<int64_t, int64_t>{2, 0}}) {
-    const int64_t plane = conv_out_size(h, kh, stride, pad) *
-                          conv_out_size(w, kw, stride, pad);
-    const int64_t ck = c * kh * kw;
+  const int64_t c = 5, kh = 3, kw = 3;
+  const int64_t ck = c * kh * kw;
+  struct Geom {
+    int64_t h, w, stride, pad;
+  };
+  for (const Geom g : {Geom{17, 13, 1, 1}, Geom{9, 40, 1, 1}, Geom{8, 8, 1, 1},
+                       Geom{5, 5, 1, 1}, Geom{17, 13, 2, 0}}) {
+    const int64_t ow = conv_out_size(g.w, kw, g.stride, g.pad);
+    const int64_t plane = conv_out_size(g.h, kh, g.stride, g.pad) * ow;
+    const Tensor img = Tensor::randn({c, g.h, g.w}, rng);
     Tensor cols({ck, plane});
-    im2col(img.data(), cols.data(), c, h, w, kh, kw, stride, pad);
-    std::vector<float> want(
-        static_cast<std::size_t>(gemm_packed_b_floats(ck, plane)));
-    std::vector<float> got(want.size(), -1.f);
-    gemm_pack_b(cols.data(), plane, ck, plane, want.data());
-    im2col_packed(img.data(), got.data(), c, h, w, kh, kw, stride, pad);
-    EXPECT_EQ(std::memcmp(got.data(), want.data(), sizeof(float) * want.size()),
-              0)
-        << "stride " << stride;
-    Tensor out_ref({cout, plane}), out({cout, plane});
-    gemm(wt.data(), cols.data(), out_ref.data(), cout, plane, ck, false);
-    gemm_prepacked_b(wt.data(), got.data(), out.data(), cout, plane, ck,
-                     false);
-    EXPECT_EQ(std::memcmp(out.data(), out_ref.data(),
-                          sizeof(float) * static_cast<std::size_t>(out.numel())),
-              0)
-        << "stride " << stride;
+    im2col(img.data(), cols.data(), c, g.h, g.w, kh, kw, g.stride, g.pad);
+    // (first column, column count); ranges that do not fit are skipped.
+    const std::pair<int64_t, int64_t> ranges[] = {
+        {0, plane},       {0, 16},         {ow - 3, 37}, {ow + 1, 2 * ow},
+        {plane - 21, 21}, {plane - 1, 1},  {3, plane - 3}};
+    for (const auto& [col0, ncols] : ranges) {
+      if (col0 < 0 || ncols <= 0 || col0 + ncols > plane) continue;
+      std::vector<float> want(
+          static_cast<std::size_t>(gemm_packed_b_floats(ck, ncols)));
+      std::vector<float> got(want.size(), -1.f);
+      gemm_pack_b(cols.data() + col0, plane, ck, ncols, want.data());
+      im2col_packed_cols(img.data(), got.data(), c, g.h, g.w, kh, kw,
+                         g.stride, g.pad, col0, ncols);
+      EXPECT_EQ(
+          std::memcmp(got.data(), want.data(), sizeof(float) * want.size()),
+          0)
+          << "ow " << ow << ", stride " << g.stride << ", cols [" << col0
+          << ", " << col0 + ncols << ")";
+    }
   }
+}
+
+TEST(Conv2dInto, BitIdenticalToIm2colGemmEpilogue) {
+  // ow 64, 40, 13, 8 and 5 at pad 1, plus stride 2 with pad 0; cin 64 at
+  // 3x3 makes ck = 576, which crosses the 512-float K block. cout 12 and 96
+  // fill whole 6-row panels, 13 leaves a dead one. Every case runs at pools
+  // 1, 2, 3 and 8, with and without bias, under each activation.
+  struct Case {
+    int64_t b, cin, h, w, cout, stride, pad;
+  };
+  const Case cases[] = {
+      {3, 4, 64, 64, 12, 1, 1},  {1, 12, 40, 40, 13, 1, 1},
+      {3, 64, 13, 13, 96, 1, 1}, {3, 64, 8, 8, 13, 1, 1},
+      {1, 24, 5, 5, 96, 1, 1},   {3, 5, 17, 13, 12, 2, 0},
+      {1, 64, 40, 40, 12, 1, 1}};
+  auto& pool = runtime::ThreadPool::instance();
+  const int restore = pool.num_threads();
+  for (const Case& cs : cases) {
+    Rng rng(static_cast<std::uint64_t>(cs.cin * 1000 + cs.w * 10 + cs.b));
+    const Tensor x = Tensor::randn({cs.b, cs.cin, cs.h, cs.w}, rng);
+    const Tensor w = Tensor::randn({cs.cout, cs.cin, 3, 3}, rng);
+    const Tensor bias = Tensor::randn({cs.cout}, rng);
+    const int64_t oh = conv_out_size(cs.h, 3, cs.stride, cs.pad);
+    const int64_t ow = conv_out_size(cs.w, 3, cs.stride, cs.pad);
+    for (const Act act : {Act::kNone, Act::kRelu, Act::kGelu}) {
+      for (const Tensor* bp : {static_cast<const Tensor*>(nullptr), &bias}) {
+        pool.resize(1);
+        const Tensor want =
+            conv2d_reference(x, w, bp, cs.stride, cs.pad, act);
+        for (const int threads : {1, 2, 3, 8}) {
+          pool.resize(threads);
+          Tensor got({cs.b, cs.cout, oh, ow});
+          ops::fwd::conv2d_into(x, w, bp, cs.stride, cs.pad, act, got);
+          EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                sizeof(float) *
+                                    static_cast<std::size_t>(want.numel())),
+                    0)
+              << "B " << cs.b << ", cin " << cs.cin << ", ow " << ow
+              << ", cout " << cs.cout << ", stride " << cs.stride << ", act "
+              << static_cast<int>(act) << ", bias " << (bp != nullptr)
+              << ", " << threads << " threads";
+        }
+      }
+    }
+  }
+  pool.resize(restore);
 }
 
 TEST(Gemm, PackTransposedMatchesPackOfTranspose) {
