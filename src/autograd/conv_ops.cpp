@@ -125,11 +125,11 @@ Var conv2d(const Var& x, const Var& w, const Var& b, int64_t stride,
   fwd::conv2d_into(x.value(), w.value(), has_bias ? &b.value() : nullptr,
                    stride, pad, taped ? Act::kNone : act, out);
 
-  plan::tr::Attrs attrs;
-  attrs.ivals = {stride, pad, has_bias ? 1 : 0};
   if (!taped) {
     // The undefined bias Var is skipped by the tracer; ivals' has_bias flag
     // tells the executor how many inputs to expect.
+    plan::tr::Attrs attrs;
+    attrs.ivals = {stride, pad, has_bias ? 1 : 0};
     attrs.act = act;
     return plan::tr::record(plan::OpCode::kConv2d, {&x, &w, &b},
                             Var(std::move(out)), attrs);
@@ -183,9 +183,7 @@ Var conv2d(const Var& x, const Var& w, const Var& b, int64_t stride,
     accumulate_grad(iw, gw);
     if (has_bias) accumulate_grad(ib, gb);
   };
-  return apply_act(plan::tr::record(plan::OpCode::kConv2d, {&x, &w, &b},
-                                    Var::from_op(std::move(out), node), attrs),
-                   act);
+  return apply_act(Var::from_op(std::move(out), node), act);
 }
 
 Var maxpool2d(const Var& x, int64_t kernel) {
@@ -225,8 +223,7 @@ Var maxpool2d(const Var& x, int64_t kernel) {
     }
     accumulate_grad(ix, gx);
   };
-  return plan::tr::record(plan::OpCode::kMaxPool2d, {&x},
-                          Var::from_op(std::move(out), node), attrs);
+  return Var::from_op(std::move(out), node);
 }
 
 }  // namespace ops

@@ -27,10 +27,11 @@ std::shared_ptr<Node> make_node(std::string name, std::vector<Var> inputs) {
 
 }  // namespace
 
-// Every op funnels its return through plan::tr::record, which is a no-op
-// (one thread-local load) unless a TraceSession is active on this thread —
-// that hook is how the plan compiler sees the forward dataflow without the
-// model code changing.
+// Every op funnels its untaped return through plan::tr::record, which is a
+// no-op (one thread-local load) unless a TraceSession is active on this
+// thread — that hook is how the plan compiler sees the forward dataflow
+// without the model code changing. Taped returns are never recorded: a
+// trace runs only under NoGradGuard, so it never builds a tape.
 
 Var add(const Var& a, const Var& b) {
   Tensor out = saufno::add(a.value(), b.value());
@@ -43,7 +44,7 @@ Var add(const Var& a, const Var& b) {
     accumulate_grad(ia, reduce_to(g, ia->value.shape()));
     accumulate_grad(ib, reduce_to(g, ib->value.shape()));
   };
-  return tr::record(OpCode::kAdd, {&a, &b}, Var::from_op(std::move(out), node));
+  return Var::from_op(std::move(out), node);
 }
 
 Var sub(const Var& a, const Var& b) {
@@ -57,7 +58,7 @@ Var sub(const Var& a, const Var& b) {
     accumulate_grad(ia, reduce_to(g, ia->value.shape()));
     accumulate_grad(ib, reduce_to(saufno::neg(g), ib->value.shape()));
   };
-  return tr::record(OpCode::kSub, {&a, &b}, Var::from_op(std::move(out), node));
+  return Var::from_op(std::move(out), node);
 }
 
 Var mul(const Var& a, const Var& b) {
@@ -71,7 +72,7 @@ Var mul(const Var& a, const Var& b) {
     accumulate_grad(ia, reduce_to(saufno::mul(g, ib->value), ia->value.shape()));
     accumulate_grad(ib, reduce_to(saufno::mul(g, ia->value), ib->value.shape()));
   };
-  return tr::record(OpCode::kMul, {&a, &b}, Var::from_op(std::move(out), node));
+  return Var::from_op(std::move(out), node);
 }
 
 Var div(const Var& a, const Var& b) {
@@ -89,7 +90,7 @@ Var div(const Var& a, const Var& b) {
                     saufno::mul(ib->value, ib->value)));
     accumulate_grad(ib, reduce_to(gb, ib->value.shape()));
   };
-  return tr::record(OpCode::kDiv, {&a, &b}, Var::from_op(std::move(out), node));
+  return Var::from_op(std::move(out), node);
 }
 
 Var add_scalar(const Var& a, float s) {
@@ -102,8 +103,7 @@ Var add_scalar(const Var& a, float s) {
   auto node = make_node("add_scalar", {a});
   auto ia = a.impl();
   node->backward = [ia](const Tensor& g) { accumulate_grad(ia, g); };
-  return tr::record(OpCode::kAddScalar, {&a},
-                    Var::from_op(std::move(out), node), attrs);
+  return Var::from_op(std::move(out), node);
 }
 
 Var mul_scalar(const Var& a, float s) {
@@ -118,8 +118,7 @@ Var mul_scalar(const Var& a, float s) {
   node->backward = [ia, s](const Tensor& g) {
     accumulate_grad(ia, saufno::mul_scalar(g, s));
   };
-  return tr::record(OpCode::kMulScalar, {&a},
-                    Var::from_op(std::move(out), node), attrs);
+  return Var::from_op(std::move(out), node);
 }
 
 Var neg(const Var& a) { return mul_scalar(a, -1.f); }
@@ -136,7 +135,7 @@ Var unary_op(const char* name, OpCode op, const Var& a, FwdF fwd,
   node->backward = [ia, grad_of_input](const Tensor& g) {
     accumulate_grad(ia, saufno::mul(g, grad_of_input(ia->value)));
   };
-  return tr::record(op, {&a}, Var::from_op(std::move(out), node));
+  return Var::from_op(std::move(out), node);
 }
 }  // namespace
 
@@ -264,8 +263,7 @@ Var reshape(const Var& a, Shape new_shape) {
     // consumer's grad buffer.
     accumulate_grad(ia, g.clone().reshape(in_shape));
   };
-  return tr::record(OpCode::kReshape, {&a},
-                    Var::from_op(std::move(out), node));
+  return Var::from_op(std::move(out), node);
 }
 
 Var permute(const Var& a, const std::vector<int64_t>& perm) {
@@ -284,8 +282,7 @@ Var permute(const Var& a, const std::vector<int64_t>& perm) {
   node->backward = [ia, inv](const Tensor& g) {
     accumulate_grad(ia, saufno::permute(g, inv));
   };
-  return tr::record(OpCode::kPermute, {&a},
-                    Var::from_op(std::move(out), node), attrs);
+  return Var::from_op(std::move(out), node);
 }
 
 Var slice(const Var& a, int64_t dim, int64_t start, int64_t length) {
@@ -316,8 +313,7 @@ Var slice(const Var& a, int64_t dim, int64_t start, int64_t length) {
     }
     accumulate_grad(ia, gin);
   };
-  return tr::record(OpCode::kSlice, {&a}, Var::from_op(std::move(out), node),
-                    attrs);
+  return Var::from_op(std::move(out), node);
 }
 
 Var cat(const std::vector<Var>& vs, int64_t dim) {
@@ -345,9 +341,7 @@ Var cat(const std::vector<Var>& vs, int64_t dim) {
       off += sizes[i];
     }
   };
-  Var r = Var::from_op(std::move(out), node);
-  tr::record_cat(vs, r, d);
-  return r;
+  return Var::from_op(std::move(out), node);
 }
 
 Var pad2d(const Var& a, int64_t top, int64_t bottom, int64_t left,
@@ -368,8 +362,7 @@ Var pad2d(const Var& a, int64_t top, int64_t bottom, int64_t left,
     gi = saufno::slice(gi, rank - 1, left, w);
     accumulate_grad(ia, gi);
   };
-  return tr::record(OpCode::kPad2d, {&a}, Var::from_op(std::move(out), node),
-                    attrs);
+  return Var::from_op(std::move(out), node);
 }
 
 Var matmul(const Var& a, const Var& b) {
@@ -384,8 +377,7 @@ Var matmul(const Var& a, const Var& b) {
     accumulate_grad(ia, saufno::matmul(g, transpose2d(ib->value)));
     accumulate_grad(ib, saufno::matmul(transpose2d(ia->value), g));
   };
-  return tr::record(OpCode::kMatmul, {&a, &b},
-                    Var::from_op(std::move(out), node));
+  return Var::from_op(std::move(out), node);
 }
 
 Var bmm(const Var& a, const Var& b) {
@@ -413,15 +405,15 @@ Var bmm(const Var& a, const Var& b) {
     accumulate_grad(ia, ga);
     accumulate_grad(ib, gb);
   };
-  return tr::record(OpCode::kBmm, {&a, &b},
-                    Var::from_op(std::move(out), node));
+  return Var::from_op(std::move(out), node);
 }
 
 Var sum_all(const Var& a) {
-  // Scalar reductions exist for losses/metrics, not the serving forward;
-  // the plan IR does not model them, so a traced forward that reaches one
-  // poisons the session and the runner falls back to the interpreter.
-  tr::record_unsupported("sum_all");
+  // Scalar reductions exist for losses/metrics, not the serving forward.
+  // The plan IR does not model them; recording nothing would freeze the
+  // traced value into the plan as a constant, so a trace that reaches one
+  // fails instead.
+  SAUFNO_CHECK(!plan::tracing(), "sum_all has no plan opcode");
   Tensor out({1}, {saufno::sum_all(a.value())});
   if (!should_record(a)) return Var(std::move(out));
   auto node = make_node("sum_all", {a});
@@ -464,8 +456,7 @@ Var sum_dim(const Var& a, int64_t dim, bool keepdim) {
     accumulate_grad(
         ia, saufno::add(gk, Tensor::zeros(ia->value.shape())));  // broadcast
   };
-  return tr::record(OpCode::kSumDim, {&a},
-                    Var::from_op(std::move(out), node), attrs);
+  return Var::from_op(std::move(out), node);
 }
 
 Var softmax_lastdim(const Var& a) {
@@ -483,8 +474,7 @@ Var softmax_lastdim(const Var& a) {
     Tensor gx = saufno::mul(s, saufno::sub(g, row_sum));
     accumulate_grad(ia, gx);
   };
-  return tr::record(OpCode::kSoftmax, {&a},
-                    Var::from_op(std::move(out), node));
+  return Var::from_op(std::move(out), node);
 }
 
 Var attention(const Var& q, const Var& k, const Var& v, float scale) {
@@ -521,8 +511,7 @@ Var attention(const Var& q, const Var& k, const Var& v, float scale) {
     accumulate_grad(iq, saufno::bmm(gs, saufno::permute(K, {0, 2, 1})));
     accumulate_grad(ik, saufno::bmm(saufno::permute(Q, {0, 2, 1}), gs));
   };
-  return tr::record(OpCode::kAttention, {&q, &k, &v},
-                    Var::from_op(std::move(out), node), attrs);
+  return Var::from_op(std::move(out), node);
 }
 
 Var resize_bilinear(const Var& a, int64_t oh, int64_t ow) {
@@ -541,8 +530,7 @@ Var resize_bilinear(const Var& a, int64_t oh, int64_t ow) {
   node->backward = [ia, ih, iw](const Tensor& g) {
     accumulate_grad(ia, saufno::resize_bilinear_adjoint(g, ih, iw));
   };
-  return tr::record(OpCode::kResizeBilinear, {&a},
-                    Var::from_op(std::move(out), node), attrs);
+  return Var::from_op(std::move(out), node);
 }
 
 Var mse_loss(const Var& pred, const Var& target) {

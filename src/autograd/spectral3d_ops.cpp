@@ -186,8 +186,7 @@ Var spectral_conv3d(const Var& x, const Var& w, int64_t m1, int64_t m2,
       accumulate_grad(ix, Tensor::zeros(ix->value.shape()));
       accumulate_grad(iw, Tensor::zeros(iw->value.shape()));
     };
-    return plan::tr::record(plan::OpCode::kSpectralConv3d, {&x, &w},
-                            Var::from_op(std::move(out), node), attrs);
+    return Var::from_op(std::move(out), node);
   }
 
   const int64_t cvol = D * H * wk;  // compact half-spectrum volume
@@ -266,8 +265,7 @@ Var spectral_conv3d(const Var& x, const Var& w, int64_t m1, int64_t m2,
     accumulate_grad(ix, gx);
     accumulate_grad(iw, gw);
   };
-  return plan::tr::record(plan::OpCode::kSpectralConv3d, {&x, &w},
-                          Var::from_op(std::move(out), node), attrs);
+  return Var::from_op(std::move(out), node);
 }
 
 }  // namespace ops

@@ -171,8 +171,7 @@ Var spectral_conv2d(const Var& x, const Var& w, int64_t m1, int64_t m2,
       accumulate_grad(ix, Tensor::zeros(ix->value.shape()));
       accumulate_grad(iw, Tensor::zeros(iw->value.shape()));
     };
-    return plan::tr::record(plan::OpCode::kSpectralConv2d, {&x, &w},
-                            Var::from_op(std::move(out), node), attrs);
+    return Var::from_op(std::move(out), node);
   }
 
   const int64_t cs = H * wk;  // compact half-spectrum plane size
@@ -255,8 +254,7 @@ Var spectral_conv2d(const Var& x, const Var& w, int64_t m1, int64_t m2,
     accumulate_grad(ix, gx);
     accumulate_grad(iw, gw);
   };
-  return plan::tr::record(plan::OpCode::kSpectralConv2d, {&x, &w},
-                          Var::from_op(std::move(out), node), attrs);
+  return Var::from_op(std::move(out), node);
 }
 
 }  // namespace ops

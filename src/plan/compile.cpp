@@ -20,21 +20,6 @@ int32_t root_of(const Plan& p, int32_t s) {
   return s;
 }
 
-/// Use count per ROOT slot: one per live-instruction input reference
-/// (references through reshape aliases resolve to the aliased root) plus one
-/// for the plan output.
-std::vector<int32_t> tally_uses(const Plan& p, const std::vector<bool>& dead) {
-  std::vector<int32_t> uses(p.slots.size(), 0);
-  for (std::size_t i = 0; i < p.instrs.size(); ++i) {
-    if (dead[i]) continue;
-    for (int32_t s : p.instrs[i].in) {
-      ++uses[static_cast<std::size_t>(root_of(p, s))];
-    }
-  }
-  ++uses[static_cast<std::size_t>(root_of(p, p.output_slot))];
-  return uses;
-}
-
 }  // namespace
 
 Plan compile(Plan p) {
@@ -81,22 +66,8 @@ Plan compile(Plan p) {
     out.alias_of = root_of(p, p.instrs[i].in[0]);
     dead[i] = true;
   }
-
-  // -- Pass 3: dead-code elimination ----------------------------------------
-  // Iterate to a fixed point so whole unused chains fall away.
+  // Drop the folded and aliased instructions.
   {
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      const std::vector<int32_t> uses = tally_uses(p, dead);
-      for (std::size_t i = 0; i < p.instrs.size(); ++i) {
-        if (dead[i]) continue;
-        if (uses[static_cast<std::size_t>(p.instrs[i].out)] == 0) {
-          dead[i] = true;
-          changed = true;
-        }
-      }
-    }
     std::vector<Instr> live;
     live.reserve(p.instrs.size());
     for (std::size_t i = 0; i < p.instrs.size(); ++i) {
@@ -114,7 +85,7 @@ Plan compile(Plan p) {
     }
   }
 
-  // -- Pass 4: level assignment ---------------------------------------------
+  // -- Pass 3: level assignment ---------------------------------------------
   // Inputs/params/consts sit at level 0; an instruction runs one level past
   // its deepest producer. Trace order is topological, and every transform
   // above preserves that, so one forward sweep suffices.
@@ -139,7 +110,7 @@ Plan compile(Plan p) {
     }
   }
 
-  // -- Pass 5: liveness + arena packing -------------------------------------
+  // -- Pass 4: liveness + arena packing -------------------------------------
   // Liveness is tracked at LEVEL granularity: a slot is live from its
   // defining level through the last level that reads it, and slots whose
   // intervals overlap get disjoint bytes. The executor runs levels in

@@ -14,13 +14,12 @@ namespace plan {
 ///     prep work (reshaped attention projections, constant trunk inputs)
 ///     disappears from the hot path.
 ///  2. Reshape aliasing — kReshape instructions become zero-cost slot
-///     aliases (same storage, new shape).
-///  3. Dead-code elimination of unused instructions, including the
-///     producers pass 1 orphaned.
-///  4. Level assignment — instruction dependency depths, grouped into
+///     aliases (same storage, new shape). Folded and aliased instructions
+///     are then dropped from Plan::instrs.
+///  3. Level assignment — instruction dependency depths, grouped into
 ///     Plan::levels, which fix the execution order and the liveness
-///     granularity of pass 5.
-///  5. Workspace planning — liveness analysis at level granularity, then
+///     granularity of pass 4.
+///  4. Workspace planning — liveness analysis at level granularity, then
 ///     first-fit packing of every temp slot into ONE arena reservation
 ///     (Plan::arena_floats), offsets 16-float aligned.
 ///

@@ -21,11 +21,6 @@ namespace {
 
 constexpr std::size_t kNumOps = static_cast<std::size_t>(OpCode::kCount);
 
-std::array<KernelFn, kNumOps>& kernel_table() {
-  static std::array<KernelFn, kNumOps> table{};
-  return table;
-}
-
 /// Per-opcode latency histograms ("plan.instr.<op>_us"), materialized once.
 obs::Histogram& instr_hist(OpCode op) {
   static std::array<obs::Histogram*, kNumOps>* hists = [] {
@@ -39,103 +34,99 @@ obs::Histogram& instr_hist(OpCode op) {
   return *(*hists)[static_cast<std::size_t>(op)];
 }
 
-// Registers `exec_<OP>` as the kernel for OpCode::k<OP> at static-init time
-// (same registration-table idiom as the FFT driver table): the macro expands
-// to a declaration, a self-registering initializer, and the definition
-// header, so adding an opcode is one block in this file.
-#define SAUFNO_PLAN_KERNEL(OP)                                \
-  void exec_##OP(ExecArgs& args);                             \
-  [[maybe_unused]] const bool registered_##OP =               \
-      (register_kernel(OpCode::k##OP, &exec_##OP), true);     \
-  void exec_##OP(ExecArgs& args)
-
-SAUFNO_PLAN_KERNEL(Add) { add_into(args.in(0), args.in(1), args.out); }
-SAUFNO_PLAN_KERNEL(Sub) { sub_into(args.in(0), args.in(1), args.out); }
-SAUFNO_PLAN_KERNEL(Mul) { mul_into(args.in(0), args.in(1), args.out); }
-SAUFNO_PLAN_KERNEL(Div) { div_into(args.in(0), args.in(1), args.out); }
-SAUFNO_PLAN_KERNEL(AddScalar) {
-  add_scalar_into(args.in(0), args.instr.fval, args.out);
-}
-SAUFNO_PLAN_KERNEL(MulScalar) {
-  mul_scalar_into(args.in(0), args.instr.fval, args.out);
-}
-SAUFNO_PLAN_KERNEL(Relu) { relu_into(args.in(0), args.out); }
-SAUFNO_PLAN_KERNEL(Gelu) { gelu_into(args.in(0), args.out); }
-SAUFNO_PLAN_KERNEL(Tanh) { tanh_into(args.in(0), args.out); }
-SAUFNO_PLAN_KERNEL(Sigmoid) { sigmoid_into(args.in(0), args.out); }
-SAUFNO_PLAN_KERNEL(Exp) { exp_into(args.in(0), args.out); }
-SAUFNO_PLAN_KERNEL(Log) { log_into(args.in(0), args.out); }
-SAUFNO_PLAN_KERNEL(Sqrt) { sqrt_into(args.in(0), args.out); }
-SAUFNO_PLAN_KERNEL(Square) {
-  // The interpreter computes square as x*x; same expression, same bits.
-  mul_into(args.in(0), args.in(0), args.out);
-}
-SAUFNO_PLAN_KERNEL(Abs) { abs_into(args.in(0), args.out); }
-SAUFNO_PLAN_KERNEL(Reshape) {
-  // Compiled plans turn reshapes into slot aliases; this shim only runs for
-  // constant folding over an uncompiled trace. Plain element copy.
-  std::memcpy(args.out.data(), args.in(0).data(),
-              static_cast<std::size_t>(args.in(0).numel()) * sizeof(float));
-}
-SAUFNO_PLAN_KERNEL(Permute) { permute_into(args.in(0), args.instr.ivals, args.out); }
-SAUFNO_PLAN_KERNEL(Slice) {
-  slice_into(args.in(0), args.instr.ivals[0], args.instr.ivals[1],
-             args.instr.ivals[2], args.out);
-}
-SAUFNO_PLAN_KERNEL(Cat) {
-  std::vector<Tensor> parts;
-  parts.reserve(args.instr.in.size());
-  for (std::size_t i = 0; i < args.instr.in.size(); ++i) {
-    parts.push_back(args.in(i));  // O(1) storage shares
+/// Runs `ins` on the bound slot tensors into `out`. One case per opcode and
+/// no default, so -Wswitch rejects an opcode without a kernel at build time.
+void run_kernel(const Instr& ins, const std::vector<Tensor>& slots,
+                Tensor& out) {
+  const auto in = [&](std::size_t i) -> const Tensor& {
+    return slots[static_cast<std::size_t>(ins.in[i])];
+  };
+  const std::vector<int64_t>& iv = ins.ivals;
+  switch (ins.op) {
+    case OpCode::kAdd:
+      return add_into(in(0), in(1), out);
+    case OpCode::kSub:
+      return sub_into(in(0), in(1), out);
+    case OpCode::kMul:
+      return mul_into(in(0), in(1), out);
+    case OpCode::kDiv:
+      return div_into(in(0), in(1), out);
+    case OpCode::kAddScalar:
+      return add_scalar_into(in(0), ins.fval, out);
+    case OpCode::kMulScalar:
+      return mul_scalar_into(in(0), ins.fval, out);
+    case OpCode::kRelu:
+      return relu_into(in(0), out);
+    case OpCode::kGelu:
+      return gelu_into(in(0), out);
+    case OpCode::kTanh:
+      return tanh_into(in(0), out);
+    case OpCode::kSigmoid:
+      return sigmoid_into(in(0), out);
+    case OpCode::kExp:
+      return exp_into(in(0), out);
+    case OpCode::kLog:
+      return log_into(in(0), out);
+    case OpCode::kSqrt:
+      return sqrt_into(in(0), out);
+    case OpCode::kSquare:
+      // The interpreter computes square as x*x; same expression, same bits.
+      return mul_into(in(0), in(0), out);
+    case OpCode::kAbs:
+      return abs_into(in(0), out);
+    case OpCode::kReshape:
+      // Compiled plans turn reshapes into slot aliases; this case only runs
+      // for constant folding over an uncompiled trace. Plain element copy.
+      std::memcpy(out.data(), in(0).data(),
+                  static_cast<std::size_t>(in(0).numel()) * sizeof(float));
+      return;
+    case OpCode::kPermute:
+      return permute_into(in(0), iv, out);
+    case OpCode::kSlice:
+      return slice_into(in(0), iv[0], iv[1], iv[2], out);
+    case OpCode::kCat: {
+      std::vector<Tensor> parts;
+      parts.reserve(ins.in.size());
+      for (std::size_t i = 0; i < ins.in.size(); ++i) {
+        parts.push_back(in(i));  // O(1) storage shares
+      }
+      return cat_into(parts, iv[0], out);
+    }
+    case OpCode::kPad2d:
+      return pad2d_into(in(0), iv[0], iv[1], iv[2], iv[3], out);
+    case OpCode::kMatmul:
+      return matmul_into(in(0), in(1), out);
+    case OpCode::kBmm:
+      return bmm_into(in(0), in(1), out);
+    case OpCode::kSoftmax:
+      return softmax_lastdim_into(in(0), out);
+    case OpCode::kSumDim:
+      return sum_dim_into(in(0), iv[0], iv[1] != 0, out);
+    case OpCode::kResizeBilinear:
+      return resize_bilinear_into(in(0), iv[0], iv[1], out);
+    case OpCode::kConv2d:
+      return ops::fwd::conv2d_into(in(0), in(1), iv[2] != 0 ? &in(2) : nullptr,
+                                   iv[0], iv[1], ins.act, out);
+    case OpCode::kMaxPool2d:
+      return ops::fwd::maxpool2d_into(in(0), iv[0], /*argmax=*/nullptr, out);
+    case OpCode::kSpectralConv2d:
+      return ops::fwd::spectral_conv2d_into(in(0), in(1), iv[0], iv[1], iv[2],
+                                            out);
+    case OpCode::kSpectralConv3d:
+      return ops::fwd::spectral_conv3d_into(in(0), in(1), iv[0], iv[1], iv[2],
+                                            iv[3], out);
+    case OpCode::kAttention:
+      return attention_into(in(0), in(1), in(2), ins.fval, out);
+    case OpCode::kFusedAddAct:
+      return fused_add_act_into(in(0), in(1),
+                                ins.in.size() == 3 ? &in(2) : nullptr, ins.act,
+                                out);
+    case OpCode::kScaledSoftmax:
+    case OpCode::kCount:
+      break;
   }
-  cat_into(parts, args.instr.ivals[0], args.out);
+  fail(std::string("plan: no kernel for ") + op_name(ins.op));
 }
-SAUFNO_PLAN_KERNEL(Pad2d) {
-  pad2d_into(args.in(0), args.instr.ivals[0], args.instr.ivals[1],
-             args.instr.ivals[2], args.instr.ivals[3], args.out);
-}
-SAUFNO_PLAN_KERNEL(Matmul) { matmul_into(args.in(0), args.in(1), args.out); }
-SAUFNO_PLAN_KERNEL(Bmm) { bmm_into(args.in(0), args.in(1), args.out); }
-SAUFNO_PLAN_KERNEL(Softmax) { softmax_lastdim_into(args.in(0), args.out); }
-SAUFNO_PLAN_KERNEL(SumDim) {
-  sum_dim_into(args.in(0), args.instr.ivals[0], args.instr.ivals[1] != 0,
-               args.out);
-}
-SAUFNO_PLAN_KERNEL(ResizeBilinear) {
-  resize_bilinear_into(args.in(0), args.instr.ivals[0], args.instr.ivals[1],
-                       args.out);
-}
-SAUFNO_PLAN_KERNEL(Conv2d) {
-  const bool has_bias = args.instr.ivals[2] != 0;
-  ops::fwd::conv2d_into(args.in(0), args.in(1),
-                        has_bias ? &args.in(2) : nullptr, args.instr.ivals[0],
-                        args.instr.ivals[1], args.instr.act, args.out);
-}
-SAUFNO_PLAN_KERNEL(MaxPool2d) {
-  ops::fwd::maxpool2d_into(args.in(0), args.instr.ivals[0],
-                           /*argmax=*/nullptr, args.out);
-}
-SAUFNO_PLAN_KERNEL(SpectralConv2d) {
-  ops::fwd::spectral_conv2d_into(args.in(0), args.in(1), args.instr.ivals[0],
-                                 args.instr.ivals[1], args.instr.ivals[2],
-                                 args.out);
-}
-SAUFNO_PLAN_KERNEL(SpectralConv3d) {
-  ops::fwd::spectral_conv3d_into(args.in(0), args.in(1), args.instr.ivals[0],
-                                 args.instr.ivals[1], args.instr.ivals[2],
-                                 args.instr.ivals[3], args.out);
-}
-SAUFNO_PLAN_KERNEL(Attention) {
-  attention_into(args.in(0), args.in(1), args.in(2), args.instr.fval,
-                 args.out);
-}
-SAUFNO_PLAN_KERNEL(FusedAddAct) {
-  const bool three = args.instr.in.size() == 3;
-  fused_add_act_into(args.in(0), args.in(1), three ? &args.in(2) : nullptr,
-                     args.instr.act, args.out);
-}
-
-#undef SAUFNO_PLAN_KERNEL
 
 int32_t root_of(const Plan& p, int32_t s) {
   while (p.slots[static_cast<std::size_t>(s)].alias_of >= 0) {
@@ -144,33 +135,12 @@ int32_t root_of(const Plan& p, int32_t s) {
   return s;
 }
 
-void exec_instr(const Plan& p, std::vector<Tensor>& slots, int32_t idx) {
-  const Instr& ins = p.instrs[static_cast<std::size_t>(idx)];
-  KernelFn fn = kernel_table()[static_cast<std::size_t>(ins.op)];
-  SAUFNO_CHECK(fn != nullptr,
-               std::string("plan: no kernel registered for ") +
-                   op_name(ins.op));
-  Tensor& out = slots[static_cast<std::size_t>(ins.out)];
-  obs::KernelTimer timer(instr_hist(ins.op), op_name(ins.op));
-  ExecArgs args{ins, slots, out};
-  fn(args);
-}
-
 }  // namespace
-
-void register_kernel(OpCode op, KernelFn fn) {
-  kernel_table()[static_cast<std::size_t>(op)] = fn;
-}
 
 Tensor eval_single(const Instr& instr, const std::vector<Tensor>& slot_values,
                    const Shape& out_shape) {
-  KernelFn fn = kernel_table()[static_cast<std::size_t>(instr.op)];
-  SAUFNO_CHECK(fn != nullptr,
-               std::string("plan: no kernel registered for ") +
-                   op_name(instr.op));
   Tensor out(out_shape);
-  ExecArgs args{instr, slot_values, out};
-  fn(args);
+  run_kernel(instr, slot_values, out);
   return out;
 }
 
@@ -247,7 +217,11 @@ Tensor PlanExecutor::run(const Tensor& input) {
   // Level order, not trace order: the arena packer keeps temp slots
   // disjoint only across overlapping level intervals.
   for (const auto& level : p.levels) {
-    for (const int32_t idx : level) exec_instr(p, b->slots, idx);
+    for (const int32_t idx : level) {
+      const Instr& ins = p.instrs[static_cast<std::size_t>(idx)];
+      obs::KernelTimer timer(instr_hist(ins.op), op_name(ins.op));
+      run_kernel(ins, b->slots, b->slots[static_cast<std::size_t>(ins.out)]);
+    }
   }
 
   Tensor result =

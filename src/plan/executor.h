@@ -12,30 +12,11 @@ namespace saufno {
 namespace plan {
 
 // ---------------------------------------------------------------------------
-// Plan VM: dispatches a compiled Plan's instruction stream through a kernel
-// registration table. One kernel per opcode, registered from executor.cpp
-// via the SAUFNO_PLAN_KERNEL macro; every kernel is a thin shim onto the
-// SAME *_into / ops::fwd:: code the interpreter runs, which is what makes
-// plan-mode outputs bit-identical to interpreted ones.
+// Plan VM: runs a compiled Plan's instruction stream through one switch on
+// the opcode. Every case is a thin shim onto the SAME *_into / ops::fwd::
+// code the interpreter runs, which is what makes plan-mode outputs
+// bit-identical to interpreted ones.
 // ---------------------------------------------------------------------------
-
-/// Everything a kernel shim needs: the instruction (attrs), the bound slot
-/// tensors (inputs), and the prebound destination tensor it must fill.
-struct ExecArgs {
-  const Instr& instr;
-  const std::vector<Tensor>& slots;
-  Tensor& out;
-
-  const Tensor& in(std::size_t i) const {
-    return slots[static_cast<std::size_t>(instr.in[i])];
-  }
-};
-
-using KernelFn = void (*)(ExecArgs&);
-
-/// Install `fn` as the kernel for `op` (called by the SAUFNO_PLAN_KERNEL
-/// registrars at static-init time; idempotent last-wins for tests).
-void register_kernel(OpCode op, KernelFn fn);
 
 /// Evaluate ONE instruction against explicit slot values, allocating the
 /// result on the heap. Used by the compiler's constant-folding pass and by

@@ -14,7 +14,7 @@ namespace plan {
 // forward becomes a list of instructions over pre-resolved tensor slots with
 // static shapes. The tracer (trace.h) emits it, the compiler (compile.h)
 // folds it and lays out its workspace, and the executor (executor.h) runs
-// it through a kernel registration table. Every opcode's runtime kernel is
+// it through one switch on the opcode. Every opcode's runtime kernel is
 // the SAME code the interpreted ops:: layer calls (the *_into variants in
 // tensor/tensor_ops.h and the ops::fwd helpers), which is what makes the
 // plan path bit-identical to the interpreter.

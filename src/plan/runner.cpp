@@ -22,7 +22,6 @@ namespace {
 struct RunnerMetrics {
   obs::Counter& hits = obs::counter("plan.cache.hits");
   obs::Counter& misses = obs::counter("plan.cache.misses");
-  obs::Counter& fallbacks = obs::counter("plan.fallbacks");
   obs::Gauge& size = obs::gauge("plan.cache.size");
   obs::Histogram& compile_ms = obs::histogram("plan.compile_ms");
   obs::Histogram& compile_trace_ms = obs::histogram("plan.compile.trace_ms");
@@ -70,11 +69,6 @@ PlanRunner::PlanRunner(std::shared_ptr<nn::Module> model, Mode mode)
   SAUFNO_CHECK(model_ != nullptr, "PlanRunner requires a model");
 }
 
-Tensor PlanRunner::interpret(const Tensor& input) {
-  NoGradGuard no_grad;
-  return model_->forward(Var(input)).value();
-}
-
 std::shared_ptr<PlanExecutor> PlanRunner::compile_shape(const Shape& shape) {
   SAUFNO_TRACE_SPAN("plan.compile");
   const auto ms_since = [](std::chrono::steady_clock::time_point a,
@@ -89,11 +83,6 @@ std::shared_ptr<PlanExecutor> PlanRunner::compile_shape(const Shape& shape) {
   TraceSession sess(model_->named_parameters(), in);
   Var out = model_->forward(in);
   const auto t_traced = std::chrono::steady_clock::now();
-  if (!sess.ok()) {
-    SAUFNO_WARN << "plan: falling back to interpreter for shape "
-                << shape_str(shape) << ": " << sess.error();
-    return nullptr;
-  }
   Plan lowered = sess.take_plan(out);
   const auto t_lowered = std::chrono::steady_clock::now();
   Plan compiled = compile(std::move(lowered));
@@ -155,14 +144,11 @@ bool PlanRunner::prepare(const Shape& shape) {
 }
 
 Tensor PlanRunner::forward(const Tensor& input) {
-  if (mode_ == Mode::kOff) return interpret(input);
-  std::shared_ptr<PlanExecutor> exec = get_or_compile(input.shape());
-  if (exec == nullptr) {
-    // Negative cache entry: this shape traced to an unsupported op; the
-    // warning was logged once at compile time.
-    runner_metrics().fallbacks.add();
-    return interpret(input);
+  if (mode_ == Mode::kOff) {
+    NoGradGuard no_grad;
+    return model_->forward(Var(input)).value();
   }
+  std::shared_ptr<PlanExecutor> exec = get_or_compile(input.shape());
   SAUFNO_TRACE_SPAN("plan.execute");
   return exec->run(input);
 }

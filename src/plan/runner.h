@@ -25,33 +25,31 @@ const char* mode_name(Mode m);
 
 /// Serving-side entry point to the plan subsystem: owns one compiled plan
 /// per input shape for a fixed model (the FFT plan cache pattern — compile
-/// outside the lock, first published wins) and falls back to the
-/// interpreted forward when a shape traces to an unsupported op or the mode
-/// says so.
+/// outside the lock, first published wins), or interprets every forward in
+/// kOff mode.
 ///
-/// Thread-safe. All forwards run under NoGradGuard semantics — the runner
-/// is for inference; training keeps the define-by-run path.
+/// Thread-safe. All forwards, and every trace, run under NoGradGuard — the
+/// runner is for inference; training keeps the define-by-run path.
 class PlanRunner {
  public:
   PlanRunner(std::shared_ptr<nn::Module> model, Mode mode);
 
   /// Run one forward. Plan-mode results are bit-identical to the
-  /// interpreter's. A shape whose trace hits an unsupported op logs once
-  /// and is interpreted from then on. A compile that throws (an allocation
-  /// failure, an injected fault) propagates to the caller and caches
-  /// nothing, so the next forward of that shape compiles again.
+  /// interpreter's. A compile that throws (an op with no opcode, an
+  /// allocation failure, an injected fault) propagates to the caller and
+  /// caches nothing, so the next forward of that shape compiles again.
   Tensor forward(const Tensor& input);
 
   /// Compile the plan for `shape` ahead of its first forward. Returns true
-  /// when this call compiled it, or cached the interpreter fallback for an
-  /// unsupported op (false when already cached, or in kOff mode). A compile
-  /// that throws propagates and caches nothing, as in forward().
+  /// when this call compiled it (false when already cached, or in kOff
+  /// mode). A compile that throws propagates and caches nothing, as in
+  /// forward().
   bool prepare(const Shape& shape);
 
   Mode mode() const { return mode_; }
-  /// Number of shapes with a cached compile (a plan or a fallback).
+  /// Number of shapes with a cached plan.
   std::size_t cache_size() const;
-  /// The compiled plan for `shape`, or nullptr (uncompiled / fallback).
+  /// The compiled plan for `shape`, or nullptr when not compiled yet.
   std::shared_ptr<PlanExecutor> executor_for(const Shape& shape) const;
 
   /// Wall-clock phases of one plan compile. `trace_ms` is the recorded
@@ -72,12 +70,8 @@ class PlanRunner {
   CompileBreakdown last_compile_breakdown() const;
 
  private:
-  /// Cached compile result; `exec == nullptr` is a negative entry (the
-  /// shape traced to an unsupported op) so the trace is not re-attempted.
   std::shared_ptr<PlanExecutor> get_or_compile(const Shape& shape);
   std::shared_ptr<PlanExecutor> compile_shape(const Shape& shape);
-
-  Tensor interpret(const Tensor& input);
 
   std::shared_ptr<nn::Module> model_;
   Mode mode_;

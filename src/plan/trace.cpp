@@ -25,15 +25,6 @@ class TraceSessionImpl {
     keepalive_.push_back(input);
   }
 
-  void fail(const std::string& reason) {
-    if (!failed_) {
-      failed_ = true;
-      error_ = reason;
-    }
-  }
-  bool ok() const { return !failed_; }
-  const std::string& error() const { return error_; }
-
   void record(OpCode op, std::initializer_list<const Var*> ins,
               const Var& out, tr::Attrs attrs) {
     std::vector<int32_t> in_slots;
@@ -60,7 +51,6 @@ class TraceSessionImpl {
   void pop_scope() { scopes_.pop_back(); }
 
   Plan take_plan(const Var& output) {
-    SAUFNO_CHECK(ok(), "take_plan on a failed trace: " + error_);
     auto it = slot_of_.find(output.impl().get());
     SAUFNO_CHECK(it != slot_of_.end(),
                  "traced forward returned a value no recorded op produced");
@@ -80,9 +70,7 @@ class TraceSessionImpl {
   }
 
   /// Slot for an op input: previously recorded output, a parameter, or a
-  /// captured leaf constant. A leaf with a producer node means the value
-  /// came from an op the tracer did not hook — poison the trace rather
-  /// than freeze a data-dependent value into the plan.
+  /// captured leaf constant.
   int32_t slot_for_input(const Var& v) {
     detail::VarImpl* key = v.impl().get();
     auto it = slot_of_.find(key);
@@ -95,10 +83,6 @@ class TraceSessionImpl {
       // cache at the engine layer (plans are compiled after loading).
       id = add_slot(SlotKind::kParam, v.shape(), v.value());
     } else {
-      if (v.impl()->node != nullptr) {
-        fail("input produced by an untraced op (" + v.impl()->node->name +
-             ")");
-      }
       // Shape-only leaves (coordinate grids etc.): cloned so the plan owns
       // heap storage whatever the leaf was backed by. Sound to bake in
       // because plans are keyed by the full input shape.
@@ -111,7 +95,6 @@ class TraceSessionImpl {
 
   void record_common(OpCode op, std::vector<int32_t> in_slots, const Var& out,
                      tr::Attrs attrs) {
-    if (failed_) return;
     Instr ins;
     ins.op = op;
     ins.in = std::move(in_slots);
@@ -141,18 +124,18 @@ class TraceSessionImpl {
   std::unordered_map<const detail::VarImpl*, std::string> param_name_;
   std::vector<Var> keepalive_;
   std::vector<std::string> scopes_;
-  bool failed_ = false;
-  std::string error_;
 };
 
 }  // namespace detail_trace
 
 TraceSession::TraceSession(
     const std::vector<std::pair<std::string, Var>>& named_params,
-    const Var& input)
-    : impl_(new detail_trace::TraceSessionImpl(named_params, input)) {
+    const Var& input) {
+  SAUFNO_CHECK(!GradMode::enabled(),
+               "a trace records only untaped ops: run it under NoGradGuard");
   SAUFNO_CHECK(detail_trace::g_active == nullptr,
                "nested TraceSessions on one thread are not supported");
+  impl_ = new detail_trace::TraceSessionImpl(named_params, input);
   detail_trace::g_active = impl_;
 }
 
@@ -160,9 +143,6 @@ TraceSession::~TraceSession() {
   detail_trace::g_active = nullptr;
   delete impl_;
 }
-
-bool TraceSession::ok() const { return impl_->ok(); }
-const std::string& TraceSession::error() const { return impl_->error(); }
 
 Plan TraceSession::take_plan(const Var& output) {
   return impl_->take_plan(output);
@@ -200,12 +180,6 @@ void record_op(OpCode op, std::initializer_list<const Var*> ins,
 void record_cat(const std::vector<Var>& ins, const Var& out, int64_t dim) {
   if (detail_trace::g_active != nullptr) {
     detail_trace::g_active->record_cat(ins, out, dim);
-  }
-}
-
-void record_unsupported(const char* what) {
-  if (detail_trace::g_active != nullptr) {
-    detail_trace::g_active->fail(std::string("unsupported op: ") + what);
   }
 }
 

@@ -25,10 +25,16 @@ inline bool tracing() { return detail_trace::g_active != nullptr; }
 /// Records one traced forward of a model as a flat Plan.
 ///
 /// Usage (see plan::PlanRunner):
+///   NoGradGuard no_grad;
 ///   Var in(input);
 ///   TraceSession sess(model.named_parameters(), in);
 ///   Var out = model.forward(in);          // ops:: hooks record into sess
-///   if (sess.ok()) Plan p = sess.take_plan(out);
+///   Plan p = sess.take_plan(out);
+///
+/// A trace runs only under NoGradGuard (the constructor throws otherwise):
+/// the ops layer records only its untaped results, so every op of a traced
+/// forward is recorded. An op with no opcode (ops::sum_all) throws when it
+/// runs under a trace rather than freeze its value into the plan.
 ///
 /// Scope: recording is thread-local and covers exactly the ops:: calls made
 /// on the constructing thread between construction and destruction (model
@@ -36,9 +42,7 @@ inline bool tracing() { return detail_trace::g_active != nullptr; }
 /// the hooks). Input Vars whose impl the session has not seen are captured:
 /// module parameters (matched against `named_params`) become kParam slots
 /// sharing the parameter storage; other leaves (shape-derived coordinate
-/// grids and the like) are cloned into kConst slots. A leaf that was
-/// produced by an op the tracer does not support poisons the session
-/// (ok() == false) instead of silently mistracing.
+/// grids and the like) are cloned into kConst slots.
 class TraceSession {
  public:
   TraceSession(const std::vector<std::pair<std::string, Var>>& named_params,
@@ -47,12 +51,8 @@ class TraceSession {
   TraceSession(const TraceSession&) = delete;
   TraceSession& operator=(const TraceSession&) = delete;
 
-  /// False when the forward used an op the tracer cannot represent.
-  bool ok() const;
-  const std::string& error() const;
-
   /// Finalize: resolves `output` to its slot and moves the recorded Plan
-  /// out. Requires ok(); the session records nothing afterwards.
+  /// out. The session records nothing afterwards.
   Plan take_plan(const Var& output);
 
  private:
@@ -76,8 +76,8 @@ class TraceScope {
 
 // -- Recording hooks used by the autograd ops layer -------------------------
 // All are no-ops unless tracing() is true on the calling thread. `record`
-// returns its `out` argument so op implementations can wrap their return
-// statements without restructuring.
+// returns its `out` argument so op implementations can wrap their untaped
+// return statements without restructuring.
 namespace tr {
 
 struct Attrs {
@@ -89,9 +89,6 @@ struct Attrs {
 void record_op(OpCode op, std::initializer_list<const Var*> ins,
                const Var& out, Attrs attrs);
 void record_cat(const std::vector<Var>& ins, const Var& out, int64_t dim);
-/// Poison the active session: the forward used `what`, which the plan IR
-/// cannot represent. The runner falls back to the interpreter.
-void record_unsupported(const char* what);
 
 inline Var record(OpCode op, std::initializer_list<const Var*> ins, Var out,
                   Attrs attrs = {}) {

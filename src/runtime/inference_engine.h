@@ -108,8 +108,9 @@ class InferenceEngine {
     /// Execution-plan policy for the forward: a plan::Mode value (0 = off /
     /// interpret, 1 = on), or -1 to read the SAUFNO_PLAN environment knob
     /// (the default). Plan-mode forwards are bit-identical to interpreted
-    /// ones; any shape the tracer cannot plan falls back to the interpreter
-    /// automatically.
+    /// ones. A model the tracer cannot plan (one that calls an op with no
+    /// opcode, such as ops::sum_all) fails its requests with RequestError
+    /// in plan mode; serve it with 0.
     int plan_mode = -1;
     /// Admission control: max queued requests across all shape shards
     /// (0 = unbounded). The default bounds the backlog at 1024 requests —

@@ -6,12 +6,14 @@
 #include <future>
 #include <limits>
 #include <memory>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "autograd/ops.h"
 #include "common/fault.h"
 #include "data/normalizer.h"
 #include "runtime/thread_pool.h"
@@ -728,6 +730,43 @@ TEST(InferenceEngine, PersistentPartitionFaultFailsEveryRequestByName) {
     EXPECT_EQ(engine->stats().requests, 0);
   }
   ThreadPool::instance().resize(ambient);
+}
+
+TEST(InferenceEngine, UntraceableModelFailsTypedInPlanModeServesInterpreted) {
+  // ops::sum_all has no plan opcode, so every compile of this model throws:
+  // in plan mode each request resolves with a RequestError; the interpreter
+  // serves the same model. sum / sum is exactly 1, so a served value is the
+  // submitted map.
+  auto model = std::make_shared<nn::Lambda>([](const Var& x) {
+    return ops::mul(x, ops::div(ops::sum_all(x), ops::sum_all(x)));
+  });
+  const auto maps = random_maps(4, 8, 72);
+  for (const int plan_mode : {1, 0}) {
+    SCOPED_TRACE("plan_mode " + std::to_string(plan_mode));
+    InferenceEngine::Config cfg;
+    cfg.max_batch = 4;
+    cfg.max_wait_us = 100000;
+    cfg.plan_mode = plan_mode;
+    InferenceEngine engine(model, cfg);
+    std::vector<std::future<Tensor>> futs;
+    for (const auto& m : maps) futs.push_back(engine.submit(m.clone()));
+    for (std::size_t i = 0; i < futs.size(); ++i) {
+      if (plan_mode == 1) {
+        EXPECT_THROW(futs[i].get(), runtime::RequestError) << "request " << i;
+        continue;
+      }
+      const Tensor got = futs[i].get();
+      ASSERT_EQ(got.shape(), maps[i].shape());
+      EXPECT_EQ(std::memcmp(got.data(), maps[i].data(),
+                            sizeof(float) *
+                                static_cast<std::size_t>(got.numel())),
+                0)
+          << "request " << i;
+    }
+    EXPECT_EQ(engine.stats().failed, plan_mode == 1 ? 4 : 0);
+    EXPECT_EQ(engine.stats().requests, plan_mode == 1 ? 0 : 4);
+    EXPECT_EQ(engine.plan_runner().cache_size(), 0u);
+  }
 }
 
 TEST(InferenceEngine, DrainServesBacklogAndFailsStragglersTyped) {

@@ -1,23 +1,28 @@
 // Compiled execution plans: trace/compile/execute must be BIT-identical to
 // the define-by-run interpreter (memcmp, not allclose) — the plan path runs
 // the same kernels in the same order, so there is no tolerance to hide
-// behind. Covers every zoo model on pow2 and non-pow2 grids, the fused
-// instructions the ops layer records, constant folding, the per-shape plan
-// cache (including concurrent first use), the interpreter fallback for
-// untraceable models, and the plan-arena Reservation plumbing.
+// behind. Covers every zoo model on pow2 and non-pow2 grids, every opcode
+// no zoo model traces, the fused instructions the ops layer records,
+// constant folding, the per-shape plan cache (including concurrent first
+// use), the compile failure for an op with no opcode, tracing only under
+// NoGradGuard, and the plan-arena Reservation plumbing.
 
 #include <atomic>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "autograd/ops.h"
+#include "autograd/spectral3d_ops.h"
 #include "common/fault.h"
 #include "nn/module.h"
 #include "obs/metrics.h"
@@ -46,8 +51,7 @@ void expect_bitwise(const Tensor& got, const Tensor& want,
 }
 
 // Every model the zoo can build, including the ablations — if it can be
-// served, it must be plannable (or fall back loudly, which would fail the
-// executor_for assertion here).
+// served, it must be plannable.
 const std::vector<std::string> kZooNames = {
     "SAU-FNO-micro", "SAU-FNO", "SAU-FNO-all-attn", "U-FNO",
     "FNO",           "DeepOHeat", "GAR",            "CNN"};
@@ -74,6 +78,92 @@ TEST(PlanVsInterp, AllZooModelsBitIdenticalOnPow2AndNonPow2) {
       expect_bitwise(planned.forward(x), want, name + " (rerun)");
     }
   }
+}
+
+// Plan output of `model` memcmp-equals the interpreter on each input, and
+// the compiled plan holds `op`.
+void expect_plan_runs_op(const std::shared_ptr<nn::Module>& model,
+                         plan::OpCode op, const std::vector<Tensor>& inputs,
+                         const std::string& what) {
+  SCOPED_TRACE(what);
+  plan::PlanRunner planned(model, plan::Mode::kOn);
+  plan::PlanRunner interp(model, plan::Mode::kOff);
+  for (const Tensor& x : inputs) {
+    expect_bitwise(planned.forward(x), interp.forward(x), what);
+  }
+  ASSERT_EQ(planned.cache_size(), 1u);
+  auto exec = planned.executor_for(inputs[0].shape());
+  ASSERT_NE(exec, nullptr);
+  bool found = false;
+  for (const plan::Instr& ins : exec->plan().instrs) found |= ins.op == op;
+  EXPECT_TRUE(found) << plan::op_name(op) << " is not in the compiled plan";
+}
+
+TEST(PlanVsInterp, OpcodesNoZooModelTracesBitIdentical) {
+  using plan::OpCode;
+  Rng rng = testing::test_rng();
+  const Shape shape{2, 3, 4, 5};
+  const Tensor x = Tensor::randn(shape, rng);
+  // Constant operands: leaves the trace captures as kConst slots.
+  const Var bias(Tensor::randn({1, 3, 1, 1}, rng));
+  const Var rhs(Tensor::randn({6, 5, 7}, rng));
+  const std::vector<std::tuple<std::string, OpCode, nn::Lambda::Fn>> cases = {
+      {"sub", OpCode::kSub, [=](const Var& v) { return ops::sub(v, bias); }},
+      {"div", OpCode::kDiv, [=](const Var& v) { return ops::div(bias, v); }},
+      {"add_scalar", OpCode::kAddScalar,
+       [](const Var& v) { return ops::add_scalar(v, 0.25f); }},
+      {"mul_scalar", OpCode::kMulScalar,
+       [](const Var& v) { return ops::mul_scalar(v, 1.5f); }},
+      {"neg", OpCode::kMulScalar, [](const Var& v) { return ops::neg(v); }},
+      {"relu", OpCode::kRelu, [](const Var& v) { return ops::relu(v); }},
+      {"sigmoid", OpCode::kSigmoid,
+       [](const Var& v) { return ops::sigmoid(v); }},
+      {"exp", OpCode::kExp, [](const Var& v) { return ops::exp(v); }},
+      {"log", OpCode::kLog,
+       [](const Var& v) { return ops::log(ops::abs(v)); }},
+      {"sqrt", OpCode::kSqrt,
+       [](const Var& v) { return ops::sqrt(ops::abs(v)); }},
+      {"square", OpCode::kSquare,
+       [](const Var& v) { return ops::square(v); }},
+      {"abs", OpCode::kAbs, [](const Var& v) { return ops::abs(v); }},
+      {"slice", OpCode::kSlice,
+       [](const Var& v) { return ops::slice(v, 1, 1, 2); }},
+      {"slice at a negative dim", OpCode::kSlice,
+       [](const Var& v) { return ops::slice(v, -1, 2, 3); }},
+      {"pad2d", OpCode::kPad2d,
+       [](const Var& v) { return ops::pad2d(v, 1, 0, 2, 1); }},
+      {"bmm", OpCode::kBmm,
+       [=](const Var& v) { return ops::bmm(ops::reshape(v, {6, 4, 5}), rhs); }},
+      {"softmax", OpCode::kSoftmax,
+       [](const Var& v) { return ops::softmax_lastdim(v); }},
+      {"sum_dim keepdim", OpCode::kSumDim,
+       [](const Var& v) { return ops::sum_dim(v, 1, /*keepdim=*/true); }},
+      {"sum_dim", OpCode::kSumDim,
+       [](const Var& v) { return ops::sum_dim(v, -1, /*keepdim=*/false); }},
+  };
+  for (const auto& [what, op, fn] : cases) {
+    expect_plan_runs_op(std::make_shared<nn::Lambda>(fn), op, {x}, what);
+  }
+
+  // spectral_conv3d on a 5-D [B, Cin, D, H, W] input.
+  const int64_t cin = 2, cout = 3, m1 = 2, m2 = 2, m3 = 2;
+  const Var w3(Tensor::randn({cin, cout, 2 * m1, 2 * m2, m3, 2}, rng));
+  expect_plan_runs_op(std::make_shared<nn::Lambda>([=](const Var& v) {
+                        return ops::spectral_conv3d(v, w3, m1, m2, m3, cout);
+                      }),
+                      OpCode::kSpectralConv3d,
+                      {Tensor::randn({2, cin, 4, 6, 8}, rng)},
+                      "spectral_conv3d");
+
+  // A model that reshapes its raw input: the plan binds that view as an
+  // alias of the input slot and must rebind it on every run.
+  std::vector<Tensor> inputs;
+  for (int i = 0; i < 3; ++i) inputs.push_back(Tensor::randn(shape, rng));
+  expect_plan_runs_op(std::make_shared<nn::Lambda>([](const Var& v) {
+                        return ops::reshape(
+                            ops::relu(ops::reshape(v, {2, 60})), {2, 3, 4, 5});
+                      }),
+                      OpCode::kRelu, inputs, "reshaped input");
 }
 
 TEST(PlanCompile, FusedOpsPerZooModel) {
@@ -304,23 +394,41 @@ TEST(PlanCache, ConcurrentFirstUseIsCorrectAndCached) {
   }
 }
 
-TEST(PlanRunner, UnsupportedOpFallsBackToInterpreter) {
-  // sum_all has no plan opcode: the trace poisons itself and the runner
-  // serves the interpreted forward instead — identical results, negative
-  // cache entry so the compile is not retried per call.
+TEST(PlanRunner, UnsupportedOpThrowsAndCachesNothing) {
+  // sum_all has no plan opcode. Recording nothing would freeze the traced
+  // value into the plan as a constant, so the compile throws instead,
+  // caches nothing and throws again on the next try; the interpreter still
+  // runs the model.
   auto model = std::make_shared<nn::Lambda>([](const Var& x) {
-    Var pooled = ops::sum_all(x);  // untraceable on purpose
-    (void)pooled;
-    return ops::relu(x);
+    return ops::add(x, ops::mean_all(x));
   });
   plan::PlanRunner runner(model, plan::Mode::kOn);
+  plan::PlanRunner interp(model, plan::Mode::kOff);
   const Shape shape{2, 3, 4, 4};
   Rng rng = testing::test_rng();
   Tensor x = Tensor::randn(shape, rng);
-  Tensor got = runner.forward(x);
-  expect_bitwise(got, relu(x), "fallback");
-  EXPECT_EQ(runner.cache_size(), 1u);
-  EXPECT_EQ(runner.executor_for(shape), nullptr);
+  EXPECT_THROW(runner.forward(x), std::runtime_error);
+  EXPECT_EQ(runner.cache_size(), 0u);
+  EXPECT_THROW(runner.prepare(shape), std::runtime_error);
+  EXPECT_EQ(runner.cache_size(), 0u);
+  // The failed trace ended its session: the interpreter's sum_all runs.
+  Tensor got;
+  ASSERT_NO_THROW(got = interp.forward(x));
+  EXPECT_EQ(got.shape(), shape);
+}
+
+TEST(TraceSession, ThrowsUnderGradMode) {
+  // The ops layer records only untaped results, so a trace that could build
+  // a tape would miss ops. The runner traces under NoGradGuard.
+  ASSERT_TRUE(GradMode::enabled());
+  Var in{Tensor({1, 2})};
+  EXPECT_THROW(plan::TraceSession(/*named_params=*/{}, in),
+               std::runtime_error);
+  // The refused session left none active: a nested one would throw here.
+  NoGradGuard no_grad;
+  plan::TraceSession sess({}, in);
+  Var out = ops::relu(in);
+  EXPECT_EQ(sess.take_plan(out).instrs.size(), 1u);
 }
 
 TEST(PlanRunner, ThrownCompileIsNotCachedAndRetries) {
