@@ -16,6 +16,15 @@
 // and memcmp it against the unfused per-item im2col -> gemm -> +bias ->
 // ReLU chain; a mismatch exits nonzero in every mode.
 //
+// The pointwise_conv rows time nn::PointwiseConv::forward, the 1x1 conv
+// with bias and activation in its epilogue, at sweep_64's per-partition
+// [4,12,64,64] -> 12 with GELU (a lifting/projection map) and serve_40's
+// [8,24,40,40] -> 2 (the projection Q), and memcmp it against the permute ->
+// matmul -> +bias -> permute -> act chain it replaced. The gelu row times
+// gelu_into, the 8-lane GELU sweep every fused GELU shares, at
+// [8,24,64,64] and memcmps it against the scalar act_apply. A mismatch in
+// either exits nonzero in every mode.
+//
 // Also times the compiled-execution-plan forward (plan::PlanRunner) against
 // the define-by-run interpreter on the same weights and input, as the
 // median of 41 alternating single-call pairs: the two are bit-identical by
@@ -39,10 +48,12 @@
 
 #include "../tests/conv2d_reference.h"
 #include "../tests/gemm_seed_reference.h"
+#include "../tests/pointwise_reference.h"
 #include "autograd/conv_ops.h"
 #include "common/json_writer.h"
 #include "common/rng.h"
 #include "common/timer.h"
+#include "nn/linear.h"
 #include "obs/export.h"
 #include "plan/executor.h"
 #include "plan/runner.h"
@@ -216,6 +227,81 @@ ConvBench bench_conv(const std::string& name, int64_t batch, int64_t cin,
   return r;
 }
 
+struct PointwiseBench {
+  int64_t batch = 0, cin = 0, hw = 0, cout = 0;
+  Act act = Act::kNone;
+  double ms = 0.0;
+  double gflops = 0.0;
+  bool bitwise_equal = false;
+};
+
+/// No-grad PointwiseConv::forward(x, act) with a random bias on [batch,
+/// cin, hw, hw] -> cout. GFLOP/s counts the product, 2 * batch * cout * cin
+/// * hw^2 flops.
+PointwiseBench bench_pointwise(int64_t batch, int64_t cin, int64_t hw,
+                               int64_t cout, Act act, bool smoke) {
+  PointwiseBench r;
+  r.batch = batch;
+  r.cin = cin;
+  r.hw = hw;
+  r.cout = cout;
+  r.act = act;
+  Rng rng(static_cast<std::uint64_t>(17 * cin + cout));
+  nn::PointwiseConv pw(cin, cout, rng);
+  Var w, b;
+  for (auto& [name, v] : pw.named_parameters()) {
+    (name == "weight" ? w : b) = v;
+  }
+  const Tensor bias = Tensor::randn({cout}, rng);
+  std::memcpy(b.value().data(), bias.data(), sizeof(float) * cout);
+  const Var x(Tensor::randn({batch, cin, hw, hw}, rng));
+  NoGradGuard no_grad;
+  Tensor out;
+  r.ms = 1e3 * time_per_call(smoke ? 8 : 20,
+                             [&] { out = pw.forward(x, act).value(); });
+  const Tensor want = pointwise_reference(x, w, b, act).value();
+  r.gflops = 2.0 * static_cast<double>(batch * cout * cin * hw * hw) /
+             r.ms * 1e-6;
+  r.bitwise_equal =
+      std::memcmp(out.data(), want.data(),
+                  sizeof(float) * static_cast<std::size_t>(out.numel())) == 0;
+  std::printf("pointwise_conv [%lld, %lld, %lld, %lld] -> %lld%s: %.3f ms  "
+              "%.1f GFLOP/s  (%s)\n",
+              static_cast<long long>(batch), static_cast<long long>(cin),
+              static_cast<long long>(hw), static_cast<long long>(hw),
+              static_cast<long long>(cout), act == Act::kGelu ? " + GELU" : "",
+              r.ms, r.gflops,
+              r.bitwise_equal ? "bit-identical" : "OUTPUTS DIFFER");
+  return r;
+}
+
+struct GeluBench {
+  Shape shape;
+  double ms = 0.0;
+  bool bitwise_equal = false;
+};
+
+/// gelu_into over `shape`, memcmp'd against act_apply(kGelu) per element.
+GeluBench bench_gelu(const Shape& shape, bool smoke) {
+  GeluBench r;
+  r.shape = shape;
+  Rng rng(0x6e1u);
+  const Tensor x = Tensor::randn(shape, rng);
+  Tensor out(shape);
+  r.ms = 1e3 * time_per_call(smoke ? 8 : 20, [&] { gelu_into(x, out); });
+  r.bitwise_equal = true;
+  for (int64_t i = 0; i < x.numel(); ++i) {
+    const float want = act_apply(Act::kGelu, x.at(i));
+    r.bitwise_equal =
+        r.bitwise_equal && std::memcmp(&want, &out.at(i), sizeof(float)) == 0;
+  }
+  std::printf("gelu %s: %.3f ms  %.2f Gelem/s  (%s)\n",
+              shape_str(shape).c_str(), r.ms,
+              static_cast<double>(x.numel()) / r.ms * 1e-6,
+              r.bitwise_equal ? "bit-identical" : "OUTPUTS DIFFER");
+  return r;
+}
+
 struct PlanBench {
   double compile_ms = 0.0;
   double speedup = 0.0;  // interpreted sec/call over plan sec/call
@@ -310,7 +396,9 @@ PlanBench bench_plan(bool smoke) {
 void write_json(const char* path, bool smoke, double ref_speedup,
                 const PlanBench& plan,
                 const std::vector<AttentionBench>& attn,
-                const std::vector<ConvBench>& convs) {
+                const std::vector<ConvBench>& convs,
+                const std::vector<PointwiseBench>& pointwise,
+                const GeluBench& gelu) {
   JsonWriter w;
   w.begin_object();
   w.field("bench", "bench_kernels");
@@ -359,6 +447,29 @@ void write_json(const char* path, bool smoke, double ref_speedup,
     w.end_object();
   }
   w.end_array();
+  w.key("pointwise_conv");
+  w.begin_array();
+  for (const PointwiseBench& p : pointwise) {
+    w.begin_object();
+    w.field("threads", runtime::ThreadPool::instance().num_threads());
+    w.field("batch", p.batch);
+    w.field("cin", p.cin);
+    w.field("hw", p.hw);
+    w.field("cout", p.cout);
+    w.field("act", p.act == Act::kGelu ? "gelu" : "none");
+    w.field("ms", p.ms, 4);
+    w.field("gflops", p.gflops, 4);
+    w.field("bitwise_equal", p.bitwise_equal);
+    w.end_object();
+  }
+  w.end_array();
+  w.key("gelu");
+  w.begin_object();
+  w.field("threads", runtime::ThreadPool::instance().num_threads());
+  w.field("shape", shape_str(gelu.shape));
+  w.field("ms", gelu.ms, 4);
+  w.field("bitwise_equal", gelu.bitwise_equal);
+  w.end_object();
   w.key("results");
   w.begin_array();
   for (const auto& e : g_entries) {
@@ -427,9 +538,20 @@ int main(int argc, char** argv) {
                              12, smoke));
   convs.push_back(bench_conv("dec0", smoke ? 2 : 4, 36, smoke ? 24 : 64, 12,
                              smoke));
+  // sweep_64's per-partition lifting map (GELU in the epilogue) and
+  // serve_40's projection; smoke runs them at 24x24 and 20x20.
+  std::printf("\n");
+  std::vector<PointwiseBench> pointwise;
+  pointwise.push_back(bench_pointwise(smoke ? 2 : 4, 12, smoke ? 24 : 64, 12,
+                                      Act::kGelu, smoke));
+  pointwise.push_back(bench_pointwise(smoke ? 2 : 8, 24, smoke ? 20 : 40, 2,
+                                      Act::kNone, smoke));
+  const GeluBench gelu = bench_gelu(
+      smoke ? Shape{2, 24, 24, 24} : Shape{8, 24, 64, 64}, smoke);
   const PlanBench plan = bench_plan(smoke);
 
-  write_json("BENCH_kernels.json", smoke, ref.speedup, plan, attn, convs);
+  write_json("BENCH_kernels.json", smoke, ref.speedup, plan, attn, convs,
+             pointwise, gelu);
 
   int rc = 0;
   for (const AttentionBench& a : attn) {
@@ -445,6 +567,22 @@ int main(int argc, char** argv) {
                   "ReLU at %s\n", c.name.c_str());
       rc = 1;
     }
+  }
+  for (const PointwiseBench& p : pointwise) {
+    if (!p.bitwise_equal) {
+      std::printf("FAIL: pointwise conv differs from permute -> matmul -> "
+                  "bias -> permute -> act at [%lld, %lld, %lld, %lld] -> "
+                  "%lld\n",
+                  static_cast<long long>(p.batch),
+                  static_cast<long long>(p.cin), static_cast<long long>(p.hw),
+                  static_cast<long long>(p.hw),
+                  static_cast<long long>(p.cout));
+      rc = 1;
+    }
+  }
+  if (!gelu.bitwise_equal) {
+    std::printf("FAIL: gelu_into differs from the scalar GELU\n");
+    rc = 1;
   }
   if (smoke && ref.speedup < 1.0) {
     std::printf("FAIL: blocked gemm slower than the seed kernel at the "

@@ -31,9 +31,9 @@ Fno::Fno(const Config& cfg, Rng& rng) : cfg_(cfg) {
 }
 
 Var Fno::forward(const Var& x) {
-  Var v = lift2_->forward(ops::gelu(lift1_->forward(x)));
+  Var v = lift2_->forward(lift1_->forward(x, Act::kGelu));
   for (auto* layer : layers_) v = layer->forward(v);
-  return proj2_->forward(ops::gelu(proj1_->forward(v)));
+  return proj2_->forward(proj1_->forward(v, Act::kGelu));
 }
 
 }  // namespace baselines

@@ -66,7 +66,7 @@ Var SauFno::forward(const Var& x) {
   SAUFNO_CHECK(x.size(1) == cfg_.in_channels,
                "SauFno expects " + std::to_string(cfg_.in_channels) +
                    " input channels, got " + std::to_string(x.size(1)));
-  Var v = lift2_->forward(ops::gelu(lift1_->forward(x)));
+  Var v = lift2_->forward(lift1_->forward(x, Act::kGelu));
   for (std::size_t i = 0; i < layers_.size(); ++i) {
     v = layers_[i]->forward(v);
     if (cfg_.attention == AttentionPlacement::kAll) {
@@ -77,7 +77,7 @@ Var SauFno::forward(const Var& x) {
   if (cfg_.attention == AttentionPlacement::kLast) {
     v = attn_.back()->forward(v);
   }
-  return proj2_->forward(ops::gelu(proj1_->forward(v)));
+  return proj2_->forward(proj1_->forward(v, Act::kGelu));
 }
 
 }  // namespace core

@@ -44,13 +44,13 @@ Fno3d::Fno3d(const Config& cfg, Rng& rng) : cfg_(cfg) {
                                                    cfg.out_channels, rng));
 }
 
-Var Fno3d::pointwise5d(nn::PointwiseConv& pw, const Var& x) {
+Var Fno3d::pointwise5d(nn::PointwiseConv& pw, const Var& x, Act act) {
   // PointwiseConv acts per spatial position; fold depth into the height
   // axis, apply, and unfold — exactly equivalent for a 1x1 channel map.
   const int64_t B = x.size(0), C = x.size(1), D = x.size(2), H = x.size(3),
                 W = x.size(4);
   Var folded = ops::reshape(x, {B, C, D * H, W});
-  Var y = pw.forward(folded);
+  Var y = pw.forward(folded, act);
   return ops::reshape(y, {B, y.size(1), D, H, W});
 }
 
@@ -60,12 +60,12 @@ Var Fno3d::forward(const Var& x) {
   SAUFNO_CHECK(x.size(1) == cfg_.in_channels,
                "Fno3d expects " + std::to_string(cfg_.in_channels) +
                    " channels, got " + std::to_string(x.size(1)));
-  Var v = ops::gelu(pointwise5d(*lift_, x));
+  Var v = pointwise5d(*lift_, x, Act::kGelu);
   for (std::size_t i = 0; i < spectral_.size(); ++i) {
     Var wv = pointwise5d(*linear_[i], v);
     v = ops::add_act(spectral_[i]->forward(v), wv, Var(), Act::kGelu);
   }
-  return pointwise5d(*proj2_, ops::gelu(pointwise5d(*proj1_, v)));
+  return pointwise5d(*proj2_, pointwise5d(*proj1_, v, Act::kGelu));
 }
 
 }  // namespace core

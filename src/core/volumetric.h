@@ -48,10 +48,11 @@ class Fno3d : public nn::Module {
   /// [B, in_channels, D, H, W] -> [B, out_channels, D, H, W].
   Var forward(const Var& x) override;
 
- private:
-  /// Apply a PointwiseConv across the channel dim of a 5-D volume.
-  static Var pointwise5d(nn::PointwiseConv& pw, const Var& x);
+  /// act(PointwiseConv) across the channel dim of a 5-D volume.
+  static Var pointwise5d(nn::PointwiseConv& pw, const Var& x,
+                         Act act = Act::kNone);
 
+ private:
   Config cfg_;
   nn::PointwiseConv* lift_;
   std::vector<SpectralConv3d*> spectral_;

@@ -1,5 +1,6 @@
 #include "nn/linear.h"
 
+#include "autograd/conv_ops.h"
 #include "common/logging.h"
 
 namespace saufno {
@@ -41,19 +42,18 @@ PointwiseConv::PointwiseConv(int64_t cin, int64_t cout, Rng& rng, bool bias)
   }
 }
 
-Var PointwiseConv::forward(const Var& x) {
+Var PointwiseConv::forward(const Var& x, Act act) {
   SAUFNO_CHECK(x.value().dim() == 4, "PointwiseConv input must be [B,C,H,W]");
   SAUFNO_CHECK(x.size(1) == cin_, "PointwiseConv expects " +
                                       std::to_string(cin_) + " channels, got " +
                                       std::to_string(x.size(1)));
-  const int64_t B = x.size(0), H = x.size(2), W = x.size(3);
-  // Channels-last so the channel map is one big gemm.
-  Var t = ops::permute(x, {0, 2, 3, 1});           // [B, H, W, Cin]
-  t = ops::reshape(t, {B * H * W, cin_});
-  t = ops::matmul(t, weight_);
-  if (bias_.defined()) t = ops::add(t, bias_);
-  t = ops::reshape(t, {B, H, W, cout_});
-  return ops::permute(t, {0, 3, 1, 2});            // [B, Cout, H, W]
+  // The [cout, cin, 1, 1] view reads only the parameter, so a plan trace
+  // folds it into a constant. Each output element is the same k-ordered
+  // gemm chain as x^T W, and the epilogue runs add-bias-then-act's
+  // expressions, so this is bit-identical to permute -> matmul -> add ->
+  // permute -> act.
+  Var w = ops::reshape(ops::permute(weight_, {1, 0}), {cout_, cin_, 1, 1});
+  return ops::conv2d(x, w, bias_, /*stride=*/1, /*pad=*/0, act);
 }
 
 }  // namespace nn

@@ -185,14 +185,69 @@ inline float erf_poly(float z) {
   return z < 0.f ? -y : y;
 }
 
-/// Exact GELU x * Phi(x) via erf_poly. Single definition shared by gelu,
-/// gelu_into and act_apply(Act::kGelu) — the fused kernels depend on all
-/// three being bit-identical.
+/// Exact GELU x * Phi(x) via erf_poly: act_apply(Act::kGelu) and the
+/// portable gelu_row, and the reference whose bits gelu_row_avx2's lanes
+/// replay — the fused kernels depend on all of them being bit-identical.
 inline float gelu_core(float x) {
   return 0.5f * x * (1.f + erf_poly(x * 0.70710678f));
 }
 
+/// gelu_core over a row, kept out of line so that it is compiled for the
+/// base target like act_apply: inlined into the AVX2 sweep, GCC picks other
+/// operand orders and a NaN input comes out with the other sign bit.
+__attribute__((noinline)) void gelu_row_scalar(const float* in, float* out,
+                                               int64_t n) {
+  for (int64_t i = 0; i < n; ++i) out[i] = gelu_core(in[i]);
+}
+
+#if SAUFNO_X86_DISPATCH
+/// Eight lanes of gelu_core: erf_poly's operations in its order, one
+/// intrinsic each, with exp_poly_avx2 (lane for lane simd::exp1) for the
+/// exponential; the tail runs gelu_row_scalar. fp-contract=off keeps GCC
+/// from fusing a separate mul and add into one FMA, which it does by default
+/// under target("fma") and which rounds differently from gelu_core.
+__attribute__((target("avx2,fma"), optimize("fp-contract=off"))) void
+gelu_row_avx2(const float* in, float* out, int64_t n) {
+  const __m256 one = _mm256_set1_ps(1.f);
+  const __m256 sign = _mm256_set1_ps(-0.f);
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 x = _mm256_loadu_ps(in + i);
+    const __m256 z = _mm256_mul_ps(x, _mm256_set1_ps(0.70710678f));
+    const __m256 az = _mm256_andnot_ps(sign, z);
+    const __m256 t = _mm256_div_ps(
+        one,
+        _mm256_add_ps(one, _mm256_mul_ps(_mm256_set1_ps(0.3275911f), az)));
+    __m256 y = _mm256_set1_ps(1.061405429f);
+    y = _mm256_sub_ps(_mm256_mul_ps(y, t), _mm256_set1_ps(1.453152027f));
+    y = _mm256_add_ps(_mm256_mul_ps(y, t), _mm256_set1_ps(1.421413741f));
+    y = _mm256_sub_ps(_mm256_mul_ps(y, t), _mm256_set1_ps(0.284496736f));
+    y = _mm256_add_ps(_mm256_mul_ps(y, t), _mm256_set1_ps(0.254829592f));
+    const __m256 e =
+        simd::exp_poly_avx2(_mm256_mul_ps(_mm256_xor_ps(az, sign), az));
+    y = _mm256_sub_ps(one, _mm256_mul_ps(_mm256_mul_ps(y, t), e));
+    y = _mm256_blendv_ps(
+        y, _mm256_xor_ps(y, sign),
+        _mm256_cmp_ps(z, _mm256_setzero_ps(), _CMP_LT_OQ));
+    _mm256_storeu_ps(out + i,
+                     _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(0.5f), x),
+                                   _mm256_add_ps(one, y)));
+  }
+  gelu_row_scalar(in + i, out + i, n - i);
+}
+#endif
+
 }  // namespace
+
+void gelu_row(const float* in, float* out, int64_t n) {
+#if SAUFNO_X86_DISPATCH
+  if (simd::level() == simd::Level::kAvx2) {
+    gelu_row_avx2(in, out, n);
+    return;
+  }
+#endif
+  gelu_row_scalar(in, out, n);
+}
 
 Tensor neg(const Tensor& a) {
   return unary(a, [](float x) { return -x; });
@@ -221,7 +276,9 @@ Tensor sigmoid(const Tensor& a) {
 
 Tensor gelu(const Tensor& a) {
   // Exact GELU (the paper's sigma is GELU): x * Phi(x).
-  return unary(a, [](float x) { return gelu_core(x); });
+  Tensor out(a.shape());
+  gelu_into(a, out);
+  return out;
 }
 
 void exp_into(const Tensor& a, Tensor& out) {
@@ -246,7 +303,14 @@ void sigmoid_into(const Tensor& a, Tensor& out) {
   unary_into_t(a, out, [](float x) { return 1.f / (1.f + simd::exp1(-x)); });
 }
 void gelu_into(const Tensor& a, Tensor& out) {
-  unary_into_t(a, out, [](float x) { return gelu_core(x); });
+  SAUFNO_CHECK(out.numel() == a.numel(),
+               "unary op destination numel mismatch");
+  const float* p = a.data();
+  float* q = out.data();
+  runtime::parallel_for(0, a.numel(), kElemwiseGrain,
+                        [&](int64_t i0, int64_t i1) {
+                          gelu_row(p + i0, q + i0, i1 - i0);
+                        });
 }
 
 Tensor gelu_grad(const Tensor& a) {
@@ -278,54 +342,58 @@ float act_apply(Act act, float v) {
 }
 
 void bias_act_row(float* row, int64_t n, const float* bias, Act act) {
-  const auto sweep = [&](auto f) {
-    if (bias != nullptr) {
-      const float b = *bias;
-      for (int64_t i = 0; i < n; ++i) row[i] = f(row[i] + b);
-    } else {
-      for (int64_t i = 0; i < n; ++i) row[i] = f(row[i]);
-    }
-  };
-  // act_apply's expressions, one loop per activation.
+  // The bias add rounds to float either way, so adding it in place first
+  // and then sweeping the activation keeps act_apply's bits.
+  if (bias != nullptr) {
+    const float b = *bias;
+    SAUFNO_IVDEP
+    for (int64_t i = 0; i < n; ++i) row[i] += b;
+  }
   switch (act) {
     case Act::kRelu:
-      sweep([](float v) { return v > 0.f ? v : 0.f; });
+      SAUFNO_IVDEP
+      for (int64_t i = 0; i < n; ++i) row[i] = row[i] > 0.f ? row[i] : 0.f;
       break;
     case Act::kGelu:
-      sweep([](float v) { return gelu_core(v); });
+      gelu_row(row, row, n);
       break;
     case Act::kNone:
-      sweep([](float v) { return v; });
       break;
   }
 }
 
 void fused_add_act_into(const Tensor& a, const Tensor& b, const Tensor* c,
                         Act act, Tensor& out) {
-  if (c == nullptr) {
-    // Two-input form broadcasts (bias add): per element it runs the same
-    // add and the same activation expression as the separate ops, in the
-    // same order.
-    broadcast_binary_into_t(a, b, out, [act](float x, float y) {
-      return act_apply(act, x + y);
-    });
+  if (c == nullptr && a.shape() != b.shape()) {
+    // Broadcast 2-input form (bias add): the sum, then the activation over
+    // it in place.
+    broadcast_binary_into_t(a, b, out, [](float x, float y) { return x + y; });
+    float* po = out.data();
+    runtime::parallel_for(0, out.numel(), kElemwiseGrain,
+                          [&](int64_t i0, int64_t i1) {
+                            bias_act_row(po + i0, i1 - i0, nullptr, act);
+                          });
     return;
   }
-  // Three-input form is same-shape only: the grouping (a + b) + c is
-  // add(add(a, b), c).
-  SAUFNO_CHECK(a.shape() == b.shape() && a.shape() == c->shape() &&
-                   out.shape() == a.shape(),
-               "fused_add_act: 3-input form requires equal shapes");
+  // Same-shape forms: per chunk, the sum, then the activation while the
+  // chunk is in cache. The grouping (a + b) + c is add(add(a, b), c).
+  SAUFNO_CHECK(a.shape() == b.shape() && out.shape() == a.shape() &&
+                   (c == nullptr || c->shape() == a.shape()),
+               "fused_add_act: only the 2-input form broadcasts");
   const float* pa = a.data();
   const float* pb = b.data();
-  const float* pc = c->data();
+  const float* pc = c != nullptr ? c->data() : nullptr;
   float* po = out.data();
-  const int64_t n = out.numel();
-  runtime::parallel_for(0, n, kElemwiseGrain, [&](int64_t i0, int64_t i1) {
-    SAUFNO_IVDEP
-    for (int64_t i = i0; i < i1; ++i) {
-      po[i] = act_apply(act, (pa[i] + pb[i]) + pc[i]);
+  runtime::parallel_for(0, out.numel(), kElemwiseGrain,
+                        [&](int64_t i0, int64_t i1) {
+    if (pc != nullptr) {
+      SAUFNO_IVDEP
+      for (int64_t i = i0; i < i1; ++i) po[i] = (pa[i] + pb[i]) + pc[i];
+    } else {
+      SAUFNO_IVDEP
+      for (int64_t i = i0; i < i1; ++i) po[i] = pa[i] + pb[i];
     }
+    bias_act_row(po + i0, i1 - i0, nullptr, act);
   });
 }
 

@@ -125,6 +125,11 @@ enum class Act : std::uint8_t { kNone, kRelu, kGelu };
 /// gelu_into), so a fused activation matches a separate pass bit for bit.
 float act_apply(Act act, float v);
 
+/// out[i] = act_apply(Act::kGelu, in[i]) over n floats, bit for bit, eight
+/// lanes at a time on the AVX2 level. `in` may equal `out`. Every GELU
+/// kernel (gelu_into, bias_act_row, fused_add_act_into) sweeps through it.
+void gelu_row(const float* in, float* out, int64_t n);
+
 /// row[i] = act_apply(act, row[i] + *bias) over n floats, or
 /// act_apply(act, row[i]) when bias is null: a bias add then the
 /// activation, bit for bit, with the switch on act hoisted out of the loop.

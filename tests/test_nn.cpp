@@ -1,16 +1,19 @@
 #include "nn/module.h"
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 
 #include <gtest/gtest.h>
 
 #include "testing.h"
+#include "pointwise_reference.h"
 #include "nn/activation.h"
 #include "nn/conv.h"
 #include "nn/linear.h"
 #include "nn/pool.h"
 #include "nn/serialize.h"
+#include "runtime/thread_pool.h"
 #include "tensor/tensor_ops.h"
 
 namespace saufno {
@@ -77,6 +80,92 @@ TEST(PointwiseConv, GradFlowsToWeights) {
   for (auto& p : pw.parameters()) {
     EXPECT_GT(sum_all(abs(p.grad())), 0.f);
   }
+}
+
+Var named_param(const nn::Module& m, const std::string& name) {
+  for (auto& [n, v] : m.named_parameters()) {
+    if (n == name) return v;
+  }
+  return Var();
+}
+
+/// Overwrites a parameter with N(0, 1) draws (biases start at zero).
+void set_randn(Var v, Rng& rng) {
+  const Tensor r = Tensor::randn(v.shape(), rng);
+  std::memcpy(v.value().data(), r.data(),
+              sizeof(float) * static_cast<std::size_t>(r.numel()));
+}
+
+bool bits_equal(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     sizeof(float) * static_cast<std::size_t>(a.numel())) ==
+             0;
+}
+
+TEST(PointwiseConv, NoGradForwardBitIdenticalToMatmulChain) {
+  // The 1x1 conv runs each output element as the matmul's one k-ordered
+  // gemm chain, then the same bias add and activation expressions, so it
+  // must equal the permute -> matmul -> add -> permute -> act chain bit for
+  // bit, at every pool size.
+  runtime::ThreadPool& pool = runtime::ThreadPool::instance();
+  const int ambient = pool.num_threads();
+  const std::pair<int64_t, int64_t> maps[] = {{5, 12}, {12, 12}, {12, 24},
+                                              {24, 2}};
+  const std::pair<int64_t, int64_t> planes[] = {{64, 64}, {40, 40}, {13, 7}};
+  NoGradGuard no_grad;
+  for (const auto& [cin, cout] : maps) {
+    for (const bool bias : {false, true}) {
+      Rng rng(static_cast<std::uint64_t>(100 * cin + cout + bias));
+      nn::PointwiseConv pw(cin, cout, rng, bias);
+      const Var w = named_param(pw, "weight");
+      const Var b = named_param(pw, "bias");
+      ASSERT_EQ(b.defined(), bias);
+      if (bias) set_randn(b, rng);
+      for (const auto& [h, wd] : planes) {
+        for (const int64_t batch : {1, 3}) {
+          const Var x(Tensor::randn({batch, cin, h, wd}, rng));
+          for (const Act act : {Act::kNone, Act::kGelu}) {
+            const Tensor want = pointwise_reference(x, w, b, act).value();
+            for (const int threads : {1, 2, 3, 8}) {
+              pool.resize(threads);
+              SCOPED_TRACE(std::to_string(cin) + "->" + std::to_string(cout) +
+                           " bias " + std::to_string(bias) + " [" +
+                           std::to_string(batch) + ", " + std::to_string(h) +
+                           "x" + std::to_string(wd) + "] act " +
+                           std::to_string(static_cast<int>(act)) + " pool " +
+                           std::to_string(threads));
+              EXPECT_TRUE(bits_equal(pw.forward(x, act).value(), want));
+            }
+          }
+        }
+      }
+    }
+  }
+  pool.resize(ambient);
+}
+
+TEST(PointwiseConv, TapedGradientsMatchMatmulChain) {
+  // Under a tape the conv and the GELU are separate nodes; the weight and
+  // bias gradients reach the [cin, cout] parameters through the view and
+  // agree with the old chain's up to summation order.
+  Rng rng(9);
+  nn::PointwiseConv pw(5, 12, rng);
+  Var w = named_param(pw, "weight");
+  Var b = named_param(pw, "bias");
+  set_randn(b, rng);
+  Var w_ref(w.value().clone(), true);
+  Var b_ref(b.value().clone(), true);
+  Var x(Tensor::randn({2, 5, 6, 7}, rng), true);
+  Var x_ref(x.value().clone(), true);
+
+  ops::sum_all(ops::square(pw.forward(x, Act::kGelu))).backward();
+  ops::sum_all(ops::square(pointwise_reference(x_ref, w_ref, b_ref,
+                                               Act::kGelu)))
+      .backward();
+  testing::expect_allclose(w.grad(), w_ref.grad(), 1e-5f, 1e-5f, "weight");
+  testing::expect_allclose(b.grad(), b_ref.grad(), 1e-5f, 1e-5f, "bias");
+  testing::expect_allclose(x.grad(), x_ref.grad(), 1e-5f, 1e-5f, "input");
 }
 
 TEST(Conv2dModule, EndToEndGradcheck) {

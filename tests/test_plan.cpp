@@ -167,14 +167,15 @@ TEST(PlanVsInterp, OpcodesNoZooModelTracesBitIdentical) {
 }
 
 TEST(PlanCompile, FusedOpsPerZooModel) {
-  // The ops layer fuses conv+relu (UNet, CNN) and gelu(K v + W v [+ U v])
-  // (every Fourier layer); the tracer records those fused instructions and
-  // compile() counts the ops they stand for. The attention softmax never
+  // The ops layer fuses conv+relu (UNet, CNN), gelu(K v + W v [+ U v])
+  // (every Fourier layer) and the GELU after the lifting and projection
+  // pointwise convs (GAR's two sit in its coarse FNO); the tracer records
+  // those fused instructions and compile() counts the ops they stand for. The attention softmax never
   // reaches the plan: it runs inside kAttention.
   const std::vector<std::pair<std::string, int64_t>> want = {
-      {"SAU-FNO", 19}, {"SAU-FNO-micro", 8}, {"SAU-FNO-all-attn", 19},
-      {"U-FNO", 19},   {"FNO", 3},           {"DeepOHeat", 0},
-      {"GAR", 2},      {"CNN", 3}};
+      {"SAU-FNO", 21}, {"SAU-FNO-micro", 10}, {"SAU-FNO-all-attn", 21},
+      {"U-FNO", 21},   {"FNO", 5},            {"DeepOHeat", 0},
+      {"GAR", 4},      {"CNN", 3}};
   ASSERT_EQ(want.size(), kZooNames.size());
   const Shape shape{2, 3, 32, 32};
   for (const auto& [name, fused] : want) {
@@ -189,6 +190,20 @@ TEST(PlanCompile, FusedOpsPerZooModel) {
     EXPECT_EQ(exec->plan().fused_ops, fused);
     EXPECT_GT(exec->plan().arena_floats, 0);
     EXPECT_FALSE(plan::to_string(exec->plan()).empty());
+    if (name != "SAU-FNO") continue;
+    // Every 1x1 channel map is one kConv2d on a folded [cout, cin, 1, 1]
+    // weight, so no matmul is left, and the one permute is the attention
+    // block's [B, N, d] query.
+    int matmuls = 0, permutes = 0;
+    for (const plan::Instr& ins : exec->plan().instrs) {
+      if (ins.op == plan::OpCode::kMatmul) ++matmuls;
+      if (ins.op == plan::OpCode::kPermute) {
+        ++permutes;
+        EXPECT_NE(ins.label.find("attention"), std::string::npos) << ins.label;
+      }
+    }
+    EXPECT_EQ(matmuls, 0);
+    EXPECT_EQ(permutes, 1);
   }
 }
 

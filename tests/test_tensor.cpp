@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "autograd/conv_ops.h"
+#include "common/rng.h"
 #include "conv2d_reference.h"
 #include "gemm_seed_reference.h"
 #include "runtime/thread_pool.h"
@@ -151,6 +152,72 @@ TEST(ElementwiseOps, GeluGradMatchesFiniteDifference) {
     dn.at(i) -= eps;
     const float num = (gelu(up).at(i) - gelu(dn).at(i)) / (2 * eps);
     EXPECT_NEAR(g.at(i), num, 1e-3f);
+  }
+}
+
+TEST(ElementwiseOps, GeluSweepBitIdenticalToScalarGelu) {
+  // gelu_row (eight lanes on AVX2, the scalar body otherwise) against
+  // act_apply(kGelu), the per-element gelu_core, at every length 0..40 so
+  // every tail length is hit, on special values in vector lanes and tails.
+  // Runs at the detected SIMD level; CI runs it again under SAUFNO_SIMD=0.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float specials[] = {0.f,    -0.f,  denorm, -denorm, 1e-40f, -1e-40f,
+                            1e-8f,  -1e-8f, 3.f,   -3.f,    10.f,   -10.f,
+                            88.f,   -88.f, inf,    -inf,    nan,    -nan};
+  constexpr int kSpecials = sizeof(specials) / sizeof(specials[0]);
+  Rng rng(41);
+  for (int64_t n = 0; n <= 40; ++n) {
+    for (int shift = 0; shift < kSpecials; shift += 5) {
+      SCOPED_TRACE("n " + std::to_string(n) + " shift " +
+                   std::to_string(shift));
+      // One float of offset so the vector loads are unaligned, and one
+      // spare at the end.
+      std::vector<float> buf(static_cast<std::size_t>(n + 2));
+      float* in = buf.data() + 1;
+      for (int64_t i = 0; i < n; ++i) {
+        in[i] = i % 3 == 0 ? static_cast<float>(3.0 * rng.normal())
+                           : specials[(i + shift) % kSpecials];
+      }
+      // One spare float each so data() is never null, even at n = 0.
+      std::vector<float> want(static_cast<std::size_t>(n + 1));
+      for (int64_t i = 0; i < n; ++i) want[i] = act_apply(Act::kGelu, in[i]);
+      const std::size_t bytes = sizeof(float) * static_cast<std::size_t>(n);
+      std::vector<float> got(static_cast<std::size_t>(n + 1));
+      gelu_row(in, got.data(), n);
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), bytes), 0);
+      // In place, and through the conv epilogue with a bias.
+      std::vector<float> row(in, in + n + 1);
+      const float bias = 0.25f;
+      bias_act_row(row.data(), n, &bias, Act::kGelu);
+      for (int64_t i = 0; i < n; ++i) {
+        want[i] = act_apply(Act::kGelu, in[i] + bias);
+      }
+      EXPECT_EQ(std::memcmp(row.data(), want.data(), bytes), 0);
+    }
+  }
+}
+
+TEST(ElementwiseOps, FusedAddGeluBitIdenticalToScalarGelu) {
+  // Both fused_add_act_into forms sweep GELU through gelu_row after the
+  // sum; per element that is act_apply(kGelu, sum) with add()'s grouping.
+  Rng rng(43);
+  const Tensor a = Tensor::randn({3, 5, 7, 9}, rng);
+  const Tensor b = Tensor::randn({3, 5, 7, 9}, rng);
+  const Tensor c = Tensor::randn({3, 5, 7, 9}, rng);
+  const Tensor row = Tensor::randn({9}, rng);
+  Tensor got2(a.shape()), got3(a.shape()), got_bcast(a.shape());
+  fused_add_act_into(a, b, nullptr, Act::kGelu, got2);
+  fused_add_act_into(a, b, &c, Act::kGelu, got3);
+  fused_add_act_into(a, row, nullptr, Act::kGelu, got_bcast);
+  for (int64_t i = 0; i < a.numel(); ++i) {
+    const float w2 = act_apply(Act::kGelu, a.at(i) + b.at(i));
+    const float w3 = act_apply(Act::kGelu, (a.at(i) + b.at(i)) + c.at(i));
+    const float wb = act_apply(Act::kGelu, a.at(i) + row.at(i % 9));
+    ASSERT_EQ(std::memcmp(&got2.at(i), &w2, sizeof(float)), 0) << i;
+    ASSERT_EQ(std::memcmp(&got3.at(i), &w3, sizeof(float)), 0) << i;
+    ASSERT_EQ(std::memcmp(&got_bcast.at(i), &wb, sizeof(float)), 0) << i;
   }
 }
 

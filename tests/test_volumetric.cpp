@@ -1,11 +1,14 @@
 #include "core/volumetric.h"
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
 #include "fft/fft.h"
 #include "testing.h"
+#include "pointwise_reference.h"
+#include "nn/linear.h"
 #include "optim/optimizer.h"
 #include "tensor/tensor_ops.h"
 
@@ -100,6 +103,34 @@ TEST(Fno3d, ForwardShapeAndMeshInvariance) {
   Var b(Tensor::randn({1, 2, 6, 12, 12}, rng), false);
   EXPECT_EQ(model.forward(a).shape(), (Shape{2, 1, 4, 8, 8}));
   EXPECT_EQ(model.forward(b).shape(), (Shape{1, 1, 6, 12, 12}));
+}
+
+TEST(Fno3d, Pointwise5dBitIdenticalToMatmulChain) {
+  // Depth folds into the height axis, so the 5-D channel map is the 4-D
+  // 1x1 conv, bit for bit the permute -> matmul -> add -> permute -> act
+  // chain over [B, C, D*H, W].
+  Rng rng(6);
+  nn::PointwiseConv pw(6, 12, rng);
+  Var w, b;
+  for (auto& [name, v] : pw.named_parameters()) {
+    (name == "weight" ? w : b) = v;
+  }
+  const Tensor bias = Tensor::randn({12}, rng);
+  std::memcpy(b.value().data(), bias.data(), sizeof(float) * 12);
+  const Var x(Tensor::randn({2, 6, 3, 9, 10}, rng));
+  NoGradGuard no_grad;
+  for (const Act act : {Act::kNone, Act::kGelu}) {
+    const Tensor got = core::Fno3d::pointwise5d(pw, x, act).value();
+    const Tensor want =
+        pointwise_reference(ops::reshape(x, {2, 6, 27, 10}), w, b, act)
+            .value();
+    ASSERT_EQ(got.shape(), (Shape{2, 12, 3, 9, 10}));
+    ASSERT_EQ(got.numel(), want.numel());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          sizeof(float) * static_cast<std::size_t>(got.numel())),
+              0)
+        << "act " << static_cast<int>(act);
+  }
 }
 
 TEST(Fno3d, TrainsOnSyntheticSmoothingTask) {
