@@ -4,11 +4,14 @@
 // 64x64 grids). The end-to-end forward rate is perfbench's sweep_64
 // throughput_per_s, so it is not repeated here.
 //
-// The attention_block rows time the fused row-blocked attention kernel
-// (attention_into) against the composed chain it replaced (bmm -> scaled
-// softmax -> permute -> bmm over [B,N,N] buffers) at the sweep shape, for
-// d = c = 12 (the zoo's SAU-FNO width) and 32, and memcmp the two outputs;
-// a mismatch exits nonzero in every mode.
+// The attention_block rows time the fused attention kernel (attention_into:
+// each 64-query block's scores computed transposed, straight into the
+// packed Pᵀ panels the mix product reads, with the softmax run down their
+// columns) against the composed chain it replaced (bmm -> scaled softmax ->
+// permute -> bmm over [B,N,N] buffers), and memcmp the two outputs; a
+// mismatch exits nonzero in every mode. The rows are sweep_64's shape,
+// [8,4096,d] on the whole pool for d = c = 12 (the zoo's SAU-FNO width) and
+// 32, and serve_40's [8,1600,12] at the 1 thread it serves on.
 //
 // The conv2d rows time the forward convolution (ops::fwd::conv2d_into,
 // bias + ReLU as the U-Net runs it) at the two widest per-partition convs
@@ -136,6 +139,7 @@ Entry bench_shape(const std::string& name, int64_t m, int64_t n, int64_t k,
 }
 
 struct AttentionBench {
+  int threads = 0;
   int64_t batch = 0, n = 0, c = 0;
   double ms_composed = 0.0;
   double ms_fused = 0.0;
@@ -144,11 +148,16 @@ struct AttentionBench {
 };
 
 /// Fused attention_into against the composed chain at [batch, n, c] with
-/// d = c (SAU-FNO's attention embedding width). GFLOP/s counts the two
-/// products, 2 * batch * n^2 * (d + c) flops.
+/// d = c (SAU-FNO's attention embedding width), on `threads` pool lanes
+/// (0: the pool as it is). GFLOP/s counts the two products,
+/// 2 * batch * n^2 * (d + c) flops.
 AttentionBench bench_attention(int64_t batch, int64_t n, int64_t c,
-                               bool smoke) {
+                               int threads, bool smoke) {
+  auto& pool = runtime::ThreadPool::instance();
+  const int restore = pool.num_threads();
+  if (threads > 0) pool.resize(threads);
   AttentionBench r;
+  r.threads = pool.num_threads();
   r.batch = batch;
   r.n = n;
   r.c = c;
@@ -176,12 +185,13 @@ AttentionBench bench_attention(int64_t batch, int64_t n, int64_t c,
       std::memcmp(fused.data(), composed.data(),
                   sizeof(float) * static_cast<std::size_t>(fused.numel())) ==
       0;
-  std::printf("attention_block [%lld, %lld, %lld]: composed %.1f ms -> "
-              "fused %.1f ms  %.2fx  %.1f GFLOP/s  (%s)\n",
+  std::printf("attention_block [%lld, %lld, %lld] %d thread(s): composed "
+              "%.1f ms -> fused %.1f ms  %.2fx  %.1f GFLOP/s  (%s)\n",
               static_cast<long long>(r.batch), static_cast<long long>(r.n),
-              static_cast<long long>(r.c), r.ms_composed, r.ms_fused,
-              r.ms_composed / r.ms_fused, r.gflops_fused,
+              static_cast<long long>(r.c), r.threads, r.ms_composed,
+              r.ms_fused, r.ms_composed / r.ms_fused, r.gflops_fused,
               r.bitwise_equal ? "bit-identical" : "OUTPUTS DIFFER");
+  pool.resize(restore);
   return r;
 }
 
@@ -418,7 +428,7 @@ void write_json(const char* path, bool smoke, double ref_speedup,
   w.begin_array();
   for (const AttentionBench& a : attn) {
     w.begin_object();
-    w.field("threads", runtime::ThreadPool::instance().num_threads());
+    w.field("threads", a.threads);
     w.field("batch", a.batch);
     w.field("n", a.n);
     w.field("d", a.c);
@@ -527,9 +537,12 @@ int main(int argc, char** argv) {
   std::printf("\n");
   std::vector<AttentionBench> attn;
   for (const int64_t c : {int64_t{12}, int64_t{32}}) {
-    attn.push_back(smoke ? bench_attention(2, 200, c, smoke)
-                         : bench_attention(8, 4096, c, smoke));
+    attn.push_back(smoke ? bench_attention(2, 200, c, 0, smoke)
+                         : bench_attention(8, 4096, c, 0, smoke));
   }
+  // serve_40's 40x40 job at the 1 thread it serves on; smoke runs 20x20.
+  attn.push_back(bench_attention(smoke ? 2 : 8, smoke ? 400 : 1600, 12, 1,
+                                 smoke));
   // sweep_64's per-partition in_conv and dec0 (B = 4 at 64x64); smoke
   // runs them at 24x24, where panels straddle output rows.
   std::printf("\n");
@@ -557,7 +570,8 @@ int main(int argc, char** argv) {
   for (const AttentionBench& a : attn) {
     if (!a.bitwise_equal) {
       std::printf("FAIL: fused attention differs from the composed chain at "
-                  "c = %lld\n", static_cast<long long>(a.c));
+                  "n = %lld, c = %lld\n", static_cast<long long>(a.n),
+                  static_cast<long long>(a.c));
       rc = 1;
     }
   }

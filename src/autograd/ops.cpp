@@ -237,11 +237,14 @@ Var apply_act(const Var& a, Act act) {
 }
 
 Var add_act(const Var& a, const Var& b, const Var& c, Act act) {
+  SAUFNO_CHECK(a.shape() == b.shape() &&
+                   (!c.defined() || c.shape() == a.shape()),
+               "add_act: operands must share one shape");
   if (any_requires_grad({a, b, c})) {
     Var s = add(a, b);
     return apply_act(c.defined() ? add(s, c) : s, act);
   }
-  Tensor out(broadcast_shape(a.shape(), b.shape()));
+  Tensor out(a.shape());
   fused_add_act_into(a.value(), b.value(), c.defined() ? &c.value() : nullptr,
                      act, out);
   tr::Attrs attrs;

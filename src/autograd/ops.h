@@ -36,8 +36,8 @@ Var abs(const Var& a);
 /// relu or gelu by `act`; `a` itself for Act::kNone.
 Var apply_act(const Var& a, Act act);
 
-/// act(a + b) (c undefined; b may broadcast) or act((a + b) + c) (all three
-/// the same shape). Without a tape it is one fused_add_act_into sweep; with
+/// act(a + b) (c undefined) or act((a + b) + c), all operands of one shape
+/// (throws otherwise). Without a tape it is one fused_add_act_into sweep; with
 /// one it is the add ops and then the activation op, so the tape and its
 /// gradients are those of the chain. Either way the values are
 /// bit-identical.

@@ -23,7 +23,7 @@ namespace core {
 /// value map with its spatial attention weights.
 ///
 /// The scores, softmax and combination run as one ops::attention call,
-/// row-blocked over query positions: no [B, N, N] tensor is materialized in
+/// blocked over query positions: no [B, N, N] tensor is materialized in
 /// the forward, in the interpreter or in a compiled plan (kAttention).
 class SelfAttentionBlock : public nn::Module {
  public:

@@ -58,10 +58,9 @@ enum class OpCode : std::uint8_t {
   kSpectralConv3d,  // ivals = {m1, m2, m3, cout}; in = {x, w}
   kAttention,       // in = {q [B,N,d], k [B,d,N], v [B,C,N]}, fval = scale;
                     // out [B,C,N] = v softmax_lastdim(q k * scale)^T,
-                    // row-blocked (no [N,N] slot)
+                    // blocked over queries (no [N,N] slot)
   kFusedAddAct,     // out = act(in0 + in1 [+ in2]) from ops::add_act;
-                    // 2-input form may broadcast (bias), 3-input form
-                    // requires equal shapes
+                    // all inputs of one shape
   kScaledSoftmax,   // out = softmax_lastdim(in * fval). Nothing emits it
                     // and no kernel runs it since kAttention took the
                     // attention softmax; kept while the perfbench ledger

@@ -76,17 +76,25 @@ std::shared_ptr<PlanExecutor> PlanRunner::compile_shape(const Shape& shape) {
     return std::chrono::duration<double, std::milli>(b - a).count();
   };
   const auto t0 = std::chrono::steady_clock::now();
-  NoGradGuard no_grad;
-  // Trace on a zero probe: the plan depends only on shapes, and the
-  // recorded kernels never branch on values.
-  Var in{Tensor(shape)};
-  TraceSession sess(model_->named_parameters(), in);
-  Var out = model_->forward(in);
-  const auto t_traced = std::chrono::steady_clock::now();
-  Plan lowered = sess.take_plan(out);
-  const auto t_lowered = std::chrono::steady_clock::now();
-  Plan compiled = compile(std::move(lowered));
-  const auto t1 = std::chrono::steady_clock::now();
+  std::chrono::steady_clock::time_point t_traced, t_lowered, t1;
+  std::shared_ptr<PlanExecutor> exec;
+  try {
+    NoGradGuard no_grad;
+    // Trace on a zero probe: the plan depends only on shapes, and the
+    // recorded kernels never branch on values.
+    Var in{Tensor(shape)};
+    TraceSession sess(model_->named_parameters(), in);
+    Var out = model_->forward(in);
+    t_traced = std::chrono::steady_clock::now();
+    Plan lowered = sess.take_plan(out);
+    t_lowered = std::chrono::steady_clock::now();
+    Plan compiled = compile(std::move(lowered));
+    t1 = std::chrono::steady_clock::now();
+    exec = std::make_shared<PlanExecutor>(std::move(compiled));
+  } catch (const std::exception& e) {
+    throw CompileError("plan compile for input " + shape_str(shape) +
+                       " failed: " + e.what());
+  }
 
   CompileBreakdown bd;
   bd.trace_ms = ms_since(t0, t_traced);
@@ -102,7 +110,7 @@ std::shared_ptr<PlanExecutor> PlanRunner::compile_shape(const Shape& shape) {
     std::lock_guard<std::mutex> lk(mu_);
     last_breakdown_ = bd;
   }
-  return std::make_shared<PlanExecutor>(std::move(compiled));
+  return exec;
 }
 
 PlanRunner::CompileBreakdown PlanRunner::last_compile_breakdown() const {
@@ -123,8 +131,8 @@ std::shared_ptr<PlanExecutor> PlanRunner::get_or_compile(const Shape& shape) {
   // Compile OUTSIDE the lock (same discipline as the FFT plan cache): a
   // multi-second first compile must not stall forwards for other shapes.
   // Concurrent first-users may both compile; the first to publish wins and
-  // the loser's work is dropped. A compile that throws caches nothing, so
-  // the next forward of the shape compiles again.
+  // the loser's work is dropped. A compile that throws CompileError caches
+  // nothing, so the next forward of the shape compiles again.
   std::shared_ptr<PlanExecutor> exec = compile_shape(shape);
   release_freed_heap();
   std::lock_guard<std::mutex> lk(mu_);

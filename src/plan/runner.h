@@ -3,6 +3,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 
 #include "nn/module.h"
@@ -23,6 +24,15 @@ enum class Mode : int {
 Mode mode_from_env();
 const char* mode_name(Mode m);
 
+/// A plan compile that threw: an op with no opcode, an allocation failure,
+/// an injected fault. The message names the input shape and the cause. A
+/// compile depends only on that shape, so a caller serving a batch of one
+/// shape fails the whole batch on it rather than retry parts of it.
+class CompileError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 /// Serving-side entry point to the plan subsystem: owns one compiled plan
 /// per input shape for a fixed model (the FFT plan cache pattern — compile
 /// outside the lock, first published wins), or interprets every forward in
@@ -35,15 +45,14 @@ class PlanRunner {
   PlanRunner(std::shared_ptr<nn::Module> model, Mode mode);
 
   /// Run one forward. Plan-mode results are bit-identical to the
-  /// interpreter's. A compile that throws (an op with no opcode, an
-  /// allocation failure, an injected fault) propagates to the caller and
-  /// caches nothing, so the next forward of that shape compiles again.
+  /// interpreter's. A compile that fails throws CompileError and caches
+  /// nothing, so the next forward of that shape compiles again.
   Tensor forward(const Tensor& input);
 
   /// Compile the plan for `shape` ahead of its first forward. Returns true
   /// when this call compiled it (false when already cached, or in kOff
-  /// mode). A compile that throws propagates and caches nothing, as in
-  /// forward().
+  /// mode). A compile that fails throws CompileError and caches nothing,
+  /// as in forward().
   bool prepare(const Shape& shape);
 
   Mode mode() const { return mode_; }

@@ -8,6 +8,7 @@ namespace saufno {
 namespace plan {
 namespace detail_trace {
 
+/// The active session of this thread; null almost always.
 thread_local TraceSessionImpl* g_active = nullptr;
 
 class TraceSessionImpl {
@@ -127,6 +128,8 @@ class TraceSessionImpl {
 };
 
 }  // namespace detail_trace
+
+bool tracing() { return detail_trace::g_active != nullptr; }
 
 TraceSession::TraceSession(
     const std::vector<std::pair<std::string, Var>>& named_params,

@@ -11,16 +11,16 @@ namespace saufno {
 namespace plan {
 
 namespace detail_trace {
-/// Thread-local pointer to the active session; null almost always. Exposed
-/// only so the `tracing()` fast check can inline to one TL load + compare.
 class TraceSessionImpl;
-extern thread_local TraceSessionImpl* g_active;
 }  // namespace detail_trace
 
 /// True while a TraceSession is recording on THIS thread. Every ops::
 /// function consults this before touching the tracer, so the interpreted
-/// path pays one thread-local load and a predictable branch.
-inline bool tracing() { return detail_trace::g_active != nullptr; }
+/// path pays one call, a thread-local load and a predictable branch. The
+/// thread-local stays inside trace.cpp: read through an extern
+/// thread_local from another translation unit, UBSan at -O2 reports a null
+/// load on its TLS wrapper.
+bool tracing();
 
 /// Records one traced forward of a model as a flat Plan.
 ///

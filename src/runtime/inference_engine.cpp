@@ -393,9 +393,13 @@ void InferenceEngine::execute_range(std::vector<InferenceRequest>& batch,
                                     int depth) {
   if (lo >= hi) return;
   std::string what;
+  bool compile_failed = false;
   try {
     forward_and_deliver(batch, lo, hi);
     return;
+  } catch (const plan::CompileError& e) {
+    what = e.what();
+    compile_failed = true;
   } catch (const std::exception& e) {
     what = e.what();
   } catch (...) {
@@ -412,9 +416,11 @@ void InferenceEngine::execute_range(std::vector<InferenceRequest>& batch,
                        request_desc(batch[lo]) + "]")));
     return;
   }
-  if (depth > 12) {
+  if (compile_failed || depth > 12) {
     // Fan the failure out — but still name every request it lands on
-    // (an anonymous batch-wide error was the old, useless behavior).
+    // (an anonymous batch-wide error was the old, useless behavior). A
+    // plan compile depends only on the shape the whole range shares, so
+    // bisecting it would only compile and fail again, 2B - 1 times in all.
     for (std::size_t i = lo; i < hi; ++i) {
       complete_error(batch[i],
                      std::make_exception_ptr(RequestError(

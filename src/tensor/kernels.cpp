@@ -183,6 +183,18 @@ void gemm_pack_a(const float* a, int64_t lda, int64_t m, int64_t k,
   }
 }
 
+void gemm_pack_at(const float* s, int64_t lds, int64_t m, int64_t k,
+                  float* ap) {
+  for (int64_t i0 = 0; i0 < m; i0 += kMR) {
+    const int64_t mr = std::min(kMR, m - i0);
+    const float* src = s + i0;
+    for (int64_t kk = 0; kk < k; ++kk, ap += kMR, src += lds) {
+      for (int64_t r = 0; r < mr; ++r) ap[r] = src[r];
+      for (int64_t r = mr; r < kMR; ++r) ap[r] = 0.f;
+    }
+  }
+}
+
 void gemm_pack_b(const float* b, int64_t ldb, int64_t k, int64_t n,
                  float* bp) {
   for (int64_t j0 = 0; j0 < n; j0 += kNR) {

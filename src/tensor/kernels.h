@@ -23,8 +23,10 @@ void gemm(const float* a, const float* b, float* c, int64_t m, int64_t n,
 //
 // The pieces gemm() is built from, for callers that reuse one packed
 // operand across many products (the fused attention kernel packs each
-// batch item's K and V once per call; the forward conv packs its weights
-// once and builds each chunk's columns with im2col_packed_cols). All are
+// batch item's Kᵀ and V once per call as A operands, and each query
+// block's Q as the B operand of the transposed scores; the forward conv
+// packs its weights once and builds each chunk's columns with
+// im2col_packed_cols). All are
 // serial. Each element of gemm_packed's C is one mul-add chain over k in
 // fixed order — K blocks of 512 folded into C in order, never reordered by
 // the panel geometry, the caller's row or column split or the thread — so
@@ -46,6 +48,13 @@ int64_t gemm_packed_b_floats(int64_t k, int64_t n);
 void gemm_pack_a(const float* a, int64_t lda, int64_t m, int64_t k,
                  float* ap);
 
+/// Packs A = Sᵀ, given S [k, m] (row stride lds), into the gemm_pack_a
+/// layout: row kk of panel p is the 6 contiguous floats S[kk, 6p..6p+5].
+/// Pure data movement, so the packed bits equal gemm_pack_a of a
+/// materialized Sᵀ.
+void gemm_pack_at(const float* s, int64_t lds, int64_t m, int64_t k,
+                  float* ap);
+
 /// Packs B [k, n] (row stride ldb) into 16-column panels, layout
 /// [panel][kk][16], dead columns of the last panel zero-filled.
 void gemm_pack_b(const float* b, int64_t ldb, int64_t k, int64_t n,
@@ -59,7 +68,9 @@ void gemm_pack_bt(const float* s, int64_t lds, int64_t n, int64_t k,
                   float* bp);
 
 /// Serial tile loop: C[m, n] (row stride ldc) (+)= A * B from
-/// gemm_pack_a(.., m, k, ap) and gemm_pack_b/gemm_pack_bt(.., k, n, bp).
+/// gemm_pack_a/gemm_pack_at(.., m, k, ap) and
+/// gemm_pack_b/gemm_pack_bt(.., k, n, bp). With n = 16 and ldc = 16, C is
+/// itself one packed-B panel of a [m, 16] operand.
 void gemm_packed(const float* ap, const float* bp, float* c, int64_t ldc,
                  int64_t m, int64_t n, int64_t k, bool accumulate);
 

@@ -364,22 +364,14 @@ void bias_act_row(float* row, int64_t n, const float* bias, Act act) {
 
 void fused_add_act_into(const Tensor& a, const Tensor& b, const Tensor* c,
                         Act act, Tensor& out) {
-  if (c == nullptr && a.shape() != b.shape()) {
-    // Broadcast 2-input form (bias add): the sum, then the activation over
-    // it in place.
-    broadcast_binary_into_t(a, b, out, [](float x, float y) { return x + y; });
-    float* po = out.data();
-    runtime::parallel_for(0, out.numel(), kElemwiseGrain,
-                          [&](int64_t i0, int64_t i1) {
-                            bias_act_row(po + i0, i1 - i0, nullptr, act);
-                          });
-    return;
-  }
-  // Same-shape forms: per chunk, the sum, then the activation while the
-  // chunk is in cache. The grouping (a + b) + c is add(add(a, b), c).
+  // Per chunk, the sum, then the activation while the chunk is in cache.
+  // The grouping (a + b) + c is add(add(a, b), c).
   SAUFNO_CHECK(a.shape() == b.shape() && out.shape() == a.shape() &&
                    (c == nullptr || c->shape() == a.shape()),
-               "fused_add_act: only the 2-input form broadcasts");
+               "fused_add_act: operands must share one shape, got " +
+                   shape_str(a.shape()) + " + " + shape_str(b.shape()) +
+                   (c != nullptr ? " + " + shape_str(c->shape()) : "") +
+                   " -> " + shape_str(out.shape()));
   const float* pa = a.data();
   const float* pb = b.data();
   const float* pc = c != nullptr ? c->data() : nullptr;
@@ -782,10 +774,125 @@ void softmax_rows_into(const Tensor& a, bool scaled, float scale,
   });
 }
 
-/// Query rows per attention block: the [kAttnRows, N] scores block plus one
-/// packed P^T panel slot is the only N-sized per-lane temporary (1.25 MB at
+/// Query rows per attention block: the block's packed Pᵀ, kAttnRows / 16
+/// panels of [N, 16], is the only N-sized per-lane temporary (1 MB at
 /// N = 4096).
 constexpr int64_t kAttnRows = 64;
+
+// Softmax down the 16 columns of one packed [n, 16] Pᵀ panel in place:
+// column q holds query q's scores over the n keys, and leaves as
+// softmax_row(scores, .., scaled, scale) would leave that row. Per column
+// every float operation is softmax_row's, in its order, at both SIMD
+// levels: the max of x * scale in reduce_max's order, exp(x * scale - max)
+// summed in double in vexp_sum's order (lane = key mod 8, the lanes added
+// left to right by sum_lanes), then one multiply by (float)(1 / sum). So
+// the panel is bit-identical to the row softmax followed by gemm_pack_bt.
+// fp-contract=off keeps the scale multiply and the max subtract two
+// roundings, as they are in softmax_row; under target("fma") GCC would
+// fuse them into one.
+
+__attribute__((optimize("fp-contract=off"))) void softmax_panel_portable(
+    float* p, int64_t n, float scale) {
+  constexpr int64_t kW = kGemmPanelCols;
+  float mx[kW];
+  for (int64_t q = 0; q < kW; ++q) mx[q] = p[q] * scale;
+  for (int64_t j = 1; j < n; ++j) {
+    const float* row = p + j * kW;
+    for (int64_t q = 0; q < kW; ++q) {
+      const float x = row[q] * scale;
+      mx[q] = x > mx[q] ? x : mx[q];
+    }
+  }
+  double sums[8][kW] = {};  // [key mod 8][query]
+  for (int64_t j = 0; j < n; ++j) {
+    float* row = p + j * kW;
+    double* s = sums[j % 8];
+    for (int64_t q = 0; q < kW; ++q) {
+      row[q] = simd::exp_poly_portable(row[q] * scale - mx[q]);
+      s[q] += row[q];
+    }
+  }
+  float inv[kW];
+  for (int64_t q = 0; q < kW; ++q) {
+    double lanes[8];
+    for (int l = 0; l < 8; ++l) lanes[l] = sums[l][q];
+    inv[q] = static_cast<float>(1.0 / simd::sum_lanes(lanes));
+  }
+  for (int64_t j = 0; j < n; ++j) {
+    float* row = p + j * kW;
+    for (int64_t q = 0; q < kW; ++q) row[q] *= inv[q];
+  }
+}
+
+#if SAUFNO_X86_DISPATCH
+/// softmax_panel_portable on eight queries per vector, with
+/// reduce_max_avx2's order for the max: eight running maxima (keys
+/// j = l mod 8) seeded with key 0, folded lane 0 to 7, then the tail keys
+/// — the order that decides which NaN or signed zero a column keeps.
+__attribute__((target("avx2,fma"), optimize("fp-contract=off"))) void
+softmax_panel_avx2(float* p, int64_t n, float scale) {
+  constexpr int64_t kW = kGemmPanelCols;
+  const __m256 vs = _mm256_set1_ps(scale);
+  const auto scaled = [&](const float* x) {
+    return _mm256_mul_ps(_mm256_loadu_ps(x), vs);
+  };
+  __m256 mx[2];
+  for (int64_t h = 0; h < 2; ++h) {
+    const float* col = p + 8 * h;
+    __m256 best[8];
+    for (int l = 0; l < 8; ++l) best[l] = scaled(col);
+    int64_t j = 0;
+    for (; j + 8 <= n; j += 8) {
+      for (int l = 0; l < 8; ++l) {
+        best[l] = _mm256_max_ps(best[l], scaled(col + (j + l) * kW));
+      }
+    }
+    __m256 m = best[0];
+    for (int l = 1; l < 8; ++l) m = _mm256_max_ps(best[l], m);
+    for (; j < n; ++j) m = _mm256_max_ps(scaled(col + j * kW), m);
+    mx[h] = m;
+  }
+  alignas(32) double sums[8][kW] = {};  // [key mod 8][query]
+  for (int64_t j = 0; j < n; ++j) {
+    float* row = p + j * kW;
+    double* s = sums[j % 8];
+    for (int64_t h = 0; h < 2; ++h) {
+      const __m256 e = simd::exp_poly_avx2(
+          _mm256_sub_ps(scaled(row + 8 * h), mx[h]));
+      _mm256_storeu_ps(row + 8 * h, e);
+      double* sh = s + 8 * h;
+      _mm256_store_pd(sh, _mm256_add_pd(_mm256_load_pd(sh),
+                                        _mm256_cvtps_pd(
+                                            _mm256_castps256_ps128(e))));
+      _mm256_store_pd(sh + 4, _mm256_add_pd(_mm256_load_pd(sh + 4),
+                                            _mm256_cvtps_pd(
+                                                _mm256_extractf128_ps(e, 1))));
+    }
+  }
+  alignas(32) float inv[kW];
+  for (int64_t q = 0; q < kW; ++q) {
+    double lanes[8];
+    for (int l = 0; l < 8; ++l) lanes[l] = sums[l][q];
+    inv[q] = static_cast<float>(1.0 / simd::sum_lanes(lanes));
+  }
+  const __m256 inv0 = _mm256_load_ps(inv), inv1 = _mm256_load_ps(inv + 8);
+  for (int64_t j = 0; j < n; ++j) {
+    float* row = p + j * kW;
+    _mm256_storeu_ps(row, _mm256_mul_ps(_mm256_loadu_ps(row), inv0));
+    _mm256_storeu_ps(row + 8, _mm256_mul_ps(_mm256_loadu_ps(row + 8), inv1));
+  }
+}
+#endif
+
+void softmax_panel(float* p, int64_t n, float scale) {
+#if SAUFNO_X86_DISPATCH
+  if (simd::level() == simd::Level::kAvx2) {
+    softmax_panel_avx2(p, n, scale);
+    return;
+  }
+#endif
+  softmax_panel_portable(p, n, scale);
+}
 
 }  // namespace
 
@@ -814,62 +921,54 @@ void attention_into(const Tensor& q, const Tensor& k, const Tensor& v,
   obs::KernelTimer prof_timer(prof_hist, "kernel.attention");
   if (batch == 0 || n == 0 || c == 0) return;
 
-  // Each batch item's K (the B operand of the scores gemm) and V (the A
-  // operand of the mix gemm) is packed once per call and then shared
-  // read-only by all of that item's query blocks.
-  const int64_t kp_floats = gemm_packed_b_floats(d, n);
+  // Each batch item's Kᵀ (the A operand of the transposed scores gemm) and
+  // V (the A operand of the mix gemm) is packed once per call and then
+  // shared read-only by all of that item's query blocks.
+  const int64_t kp_floats = gemm_packed_a_floats(n, d);
   const int64_t vp_floats = gemm_packed_a_floats(c, n);
   runtime::Scratch<float> kp(static_cast<std::size_t>(batch * kp_floats));
   runtime::Scratch<float> vp(static_cast<std::size_t>(batch * vp_floats));
   runtime::parallel_for(0, batch, 1, [&](int64_t b0, int64_t b1) {
     for (int64_t b = b0; b < b1; ++b) {
-      gemm_pack_b(k.data() + b * d * n, n, d, n, kp.data() + b * kp_floats);
+      gemm_pack_at(k.data() + b * d * n, n, n, d, kp.data() + b * kp_floats);
       gemm_pack_a(v.data() + b * c * n, n, c, n, vp.data() + b * vp_floats);
     }
   });
 
-  // One chunk per (batch, query block), both of its gemms serial. Each
-  // step is the composed chain's own arithmetic on a row subset: the
-  // scores are gemm(q, k)'s rows, the softmax is per row, and the mix is
-  // bmm(v, permute(P))'s own product V * P^T restricted to the block's
-  // output columns — every element one k-ordered chain, stored in place
-  // into [B, C, N]. So the result is bit-identical to
-  // bmm -> scaled softmax -> permute -> bmm for every block size and thread
-  // count, with O(kAttnRows * n) per-lane scratch instead of [batch, n, n].
-  //
-  // That scratch is one spare P^T panel slot followed by the
-  // [kAttnRows, n] scores block. Rows are normalized and packed one panel
-  // (kGemmPanelCols rows) at a time, group g into slot g: the spare slot
-  // for g = 0, then the spent scores rows of group g - 1. The packed P^T
-  // thus ends up contiguous at the front of the buffer without a second
-  // [kAttnRows, n] block.
+  // One chunk per (batch, query block), all of its gemms serial. The
+  // scores come out transposed, Sᵀ = Kᵀ Qᵀ, one 16-query panel at a time
+  // with ldc = 16, which is the packed-B layout the mix product V Pᵀ
+  // reads: the softmax runs down each panel's columns in place and the
+  // panels feed the mix as they stand. Each step is the composed chain's
+  // own arithmetic on a subset: every score is gemm(q, k)'s k-ordered chain
+  // (its two factors swapped, which a product never sees), each column's
+  // softmax is the scaled softmax of that query's row, and the mix is
+  // bmm(v, permute(P))'s own product restricted to the block's output
+  // columns, stored in place into [B, C, N]. So the result is bit-identical
+  // to bmm -> scaled softmax -> permute -> bmm for every block size and
+  // thread count, with kAttnRows * n floats of per-lane scratch instead of
+  // [batch, n, n].
   const int64_t blocks = (n + kAttnRows - 1) / kAttnRows;
-  const int64_t slot = gemm_packed_b_floats(n, kGemmPanelCols);
+  const int64_t panel = gemm_packed_b_floats(n, kGemmPanelCols);
   runtime::parallel_for(0, batch * blocks, 1, [&](int64_t t0, int64_t t1) {
     runtime::Scratch<float> qp(
-        static_cast<std::size_t>(gemm_packed_a_floats(kAttnRows, d)));
-    runtime::Scratch<float> buf(
-        static_cast<std::size_t>(slot + kAttnRows * n));
-    float* pt = buf.data();
-    float* scores = buf.data() + slot;
+        static_cast<std::size_t>(gemm_packed_b_floats(d, kAttnRows)));
+    runtime::Scratch<float> pt(static_cast<std::size_t>(kAttnRows * n));
     for (int64_t t = t0; t < t1; ++t) {
       const int64_t b = t / blocks;
       const int64_t i0 = (t % blocks) * kAttnRows;
       const int64_t rows = std::min(kAttnRows, n - i0);
-      gemm_pack_a(q.data() + (b * n + i0) * d, d, rows, d, qp.data());
-      gemm_packed(qp.data(), kp.data() + b * kp_floats, scores, n, rows, n, d,
-                  /*accumulate=*/false);
+      gemm_pack_bt(q.data() + (b * n + i0) * d, d, rows, d, qp.data());
       for (int64_t r0 = 0; r0 < rows; r0 += kGemmPanelCols) {
-        const int64_t gr = std::min(kGemmPanelCols, rows - r0);
-        for (int64_t r = r0; r < r0 + gr; ++r) {
-          float* row = scores + r * n;
-          softmax_row(row, row, n, /*scaled=*/true, scale);
-        }
-        gemm_pack_bt(scores + r0 * n, n, gr, n,
-                     pt + r0 / kGemmPanelCols * slot);
+        float* pp = pt.data() + r0 / kGemmPanelCols * panel;
+        gemm_packed(kp.data() + b * kp_floats, qp.data() + r0 * d, pp,
+                    kGemmPanelCols, n, kGemmPanelCols, d,
+                    /*accumulate=*/false);
+        softmax_panel(pp, n, scale);
       }
-      gemm_packed(vp.data() + b * vp_floats, pt, out.data() + b * c * n + i0,
-                  n, c, rows, n, /*accumulate=*/false);
+      gemm_packed(vp.data() + b * vp_floats, pt.data(),
+                  out.data() + b * c * n + i0, n, c, rows, n,
+                  /*accumulate=*/false);
     }
   });
 }

@@ -135,10 +135,10 @@ void gelu_row(const float* in, float* out, int64_t n);
 /// activation, bit for bit, with the switch on act hoisted out of the loop.
 void bias_act_row(float* row, int64_t n, const float* bias, Act act);
 
-/// Fused out = act(a + b) (c == nullptr) or out = act((a + b) + c).
-/// The 2-input form broadcasts like add(); the 3-input form requires equal
-/// shapes. Per element the arithmetic matches add-then-activation exactly
-/// (same expressions, same order), so fusing never changes bits.
+/// Fused out = act(a + b) (c == nullptr) or out = act((a + b) + c), all
+/// operands and out of one shape (no broadcasting; throws otherwise). Per
+/// element the arithmetic matches add-then-activation exactly (same
+/// expressions, same order), so fusing never changes bits.
 void fused_add_act_into(const Tensor& a, const Tensor& b, const Tensor* c,
                         Act act, Tensor& out);
 /// Fused out = softmax_lastdim(a * scale): the scaled row is materialized
@@ -148,11 +148,12 @@ void fused_add_act_into(const Tensor& a, const Tensor& b, const Tensor* c,
 void scaled_softmax_lastdim_into(const Tensor& a, float scale, Tensor& out);
 
 /// Fused self-attention: out[b] = v[b] * softmax_lastdim(q[b] k[b] * scale)^T
-/// for q [B,N,d], k [B,d,N], v [B,C,N], out [B,C,N]. Runs row-blocked over
-/// fixed 64-query blocks, so no [N,N] tensor exists, and each step is the
-/// composed chain's own arithmetic (gemm's serial tile loop on operands
-/// packed once per call, the scaled-softmax row sequence) on a subset of
-/// rows — bit-identical to bmm -> scaled_softmax_lastdim -> permute -> bmm
+/// for q [B,N,d], k [B,d,N], v [B,C,N], out [B,C,N]. Runs over fixed
+/// 64-query blocks, so no [N,N] tensor exists: each block's scores are
+/// computed transposed, Kᵀ Qᵀ, one 16-query panel at a time straight into
+/// the packed Pᵀ layout of the mix product, and the scaled softmax runs
+/// down the panel columns with the row softmax's own operations in its
+/// order. Bit-identical to bmm -> scaled_softmax_lastdim -> permute -> bmm
 /// for every SAUFNO_NUM_THREADS.
 void attention_into(const Tensor& q, const Tensor& k, const Tensor& v,
                     float scale, Tensor& out);

@@ -16,6 +16,7 @@
 #include "autograd/ops.h"
 #include "common/fault.h"
 #include "data/normalizer.h"
+#include "obs/metrics.h"
 #include "runtime/thread_pool.h"
 #include "tensor/tensor.h"
 #include "train/model_zoo.h"
@@ -734,25 +735,35 @@ TEST(InferenceEngine, PersistentPartitionFaultFailsEveryRequestByName) {
 
 TEST(InferenceEngine, UntraceableModelFailsTypedInPlanModeServesInterpreted) {
   // ops::sum_all has no plan opcode, so every compile of this model throws:
-  // in plan mode each request resolves with a RequestError; the interpreter
-  // serves the same model. sum / sum is exactly 1, so a served value is the
-  // submitted map.
+  // in plan mode each request resolves with a RequestError that names it,
+  // and the batch of 8 fails on its one compile instead of bisecting into
+  // 15; the interpreter serves the same model. sum / sum is exactly 1, so a
+  // served value is the submitted map.
   auto model = std::make_shared<nn::Lambda>([](const Var& x) {
     return ops::mul(x, ops::div(ops::sum_all(x), ops::sum_all(x)));
   });
-  const auto maps = random_maps(4, 8, 72);
+  const auto maps = random_maps(8, 8, 72);
+  obs::Counter& misses = obs::counter("plan.cache.misses");
   for (const int plan_mode : {1, 0}) {
     SCOPED_TRACE("plan_mode " + std::to_string(plan_mode));
     InferenceEngine::Config cfg;
-    cfg.max_batch = 4;
+    cfg.max_batch = 8;
     cfg.max_wait_us = 100000;
     cfg.plan_mode = plan_mode;
+    const int64_t misses_before = misses.value();
     InferenceEngine engine(model, cfg);
     std::vector<std::future<Tensor>> futs;
     for (const auto& m : maps) futs.push_back(engine.submit(m.clone()));
     for (std::size_t i = 0; i < futs.size(); ++i) {
       if (plan_mode == 1) {
-        EXPECT_THROW(futs[i].get(), runtime::RequestError) << "request " << i;
+        try {
+          futs[i].get();
+          ADD_FAILURE() << "request " << i << " was served";
+        } catch (const runtime::RequestError& e) {
+          const std::string msg = e.what();
+          EXPECT_NE(msg.find("plan compile"), std::string::npos) << msg;
+          EXPECT_NE(msg.find("request seq="), std::string::npos) << msg;
+        }
         continue;
       }
       const Tensor got = futs[i].get();
@@ -763,9 +774,10 @@ TEST(InferenceEngine, UntraceableModelFailsTypedInPlanModeServesInterpreted) {
                 0)
           << "request " << i;
     }
-    EXPECT_EQ(engine.stats().failed, plan_mode == 1 ? 4 : 0);
-    EXPECT_EQ(engine.stats().requests, plan_mode == 1 ? 0 : 4);
+    EXPECT_EQ(engine.stats().failed, plan_mode == 1 ? 8 : 0);
+    EXPECT_EQ(engine.stats().requests, plan_mode == 1 ? 0 : 8);
     EXPECT_EQ(engine.plan_runner().cache_size(), 0u);
+    EXPECT_EQ(misses.value() - misses_before, plan_mode == 1 ? 1 : 0);
   }
 }
 

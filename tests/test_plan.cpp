@@ -262,12 +262,17 @@ TEST(PlanKernels, FusedAddActBitIdenticalToUnfusedChain) {
   Tensor out(s);
   fused_add_act_into(a, b, &c, Act::kGelu, out);
   expect_bitwise(out, want, "gelu((a+b)+c)");
-  // 2-input broadcasting form: relu(a + bias).
-  Tensor bias = Tensor::randn({1, 8, 1, 1}, rng);
-  Tensor want2 = relu(add(a, bias));
+  // 2-input form: relu(a + b).
+  Tensor want2 = relu(add(a, b));
   Tensor out2(s);
-  fused_add_act_into(a, bias, nullptr, Act::kRelu, out2);
-  expect_bitwise(out2, want2, "relu(a+bias)");
+  fused_add_act_into(a, b, nullptr, Act::kRelu, out2);
+  expect_bitwise(out2, want2, "relu(a+b)");
+  // Operands of different shapes throw rather than broadcast.
+  Tensor bias = Tensor::randn({1, 8, 1, 1}, rng);
+  EXPECT_THROW(fused_add_act_into(a, bias, nullptr, Act::kRelu, out2),
+               std::runtime_error);
+  EXPECT_THROW(fused_add_act_into(a, b, &bias, Act::kRelu, out2),
+               std::runtime_error);
 }
 
 TEST(PlanKernels, ScaledSoftmaxBitIdenticalToMulScalarSoftmax) {
@@ -289,12 +294,14 @@ Tensor composed_attention(const Tensor& q, const Tensor& k, const Tensor& v,
 }
 
 TEST(PlanKernels, AttentionBitIdenticalToComposition) {
-  // Query blocks are 64 rows: N = 1 and 7 are one partial block, 64 exactly
-  // one, 65 a full block plus a 1-row tail, 200 a non-dividing multiple,
-  // and at N = 600 the mix product's k (the key count) crosses the
-  // 512-float K block, so its partial tiles are folded into the output.
-  // c = 12 is the zoo's SAU-FNO width (two full 6-row panels of packed V);
-  // c = 6 and 13 leave none and one dead panel row.
+  // Query blocks are 64 rows in 16-query panels: N = 1 and 7 are one
+  // partial block, 64 exactly one, 65 a full block plus a 1-row tail, 200 a
+  // non-dividing multiple, 300 ends on a partial panel of 12 queries over
+  // a key count that is not a multiple of 8, and 1600 is serve_40's 40x40.
+  // From N = 600 the mix product's k (the key count) crosses the 512-float
+  // K block, so its partial tiles are folded into the output. c = 12 is
+  // the zoo's SAU-FNO width (two full 6-row panels of packed V); c = 6 and
+  // 13 leave none and one dead panel row.
   auto& pool = runtime::ThreadPool::instance();
   const int restore = pool.num_threads();
   const float scale = 0.37f;
@@ -305,7 +312,7 @@ TEST(PlanKernels, AttentionBitIdenticalToComposition) {
     pool.resize(threads);
     for (const Dims dims : {Dims{5, 6}, Dims{12, 12}, Dims{12, 13}}) {
       const int64_t d = dims.d, c = dims.c;
-      for (const int64_t n : {1, 7, 64, 65, 200, 600}) {
+      for (const int64_t n : {1, 7, 64, 65, 200, 300, 600, 1600}) {
         for (const int64_t b : {1, 3}) {
           const std::string what =
               std::to_string(threads) + " threads, B=" + std::to_string(b) +
@@ -360,6 +367,37 @@ TEST(PlanKernels, AttentionBitIdenticalToComposition) {
     }
     for (int64_t j = 0; j < c * n; ++j) {
       ASSERT_FALSE(std::isfinite(out.data()[c * n + j])) << "item 1, " << j;
+    }
+    // Infinite and negative-zero keys at the first key (the seed of every
+    // column's max) and the last (a tail key past the last 8-key group, at
+    // N = 65 and 300), beside the NaN key of item 1. Item 0 gets +inf and
+    // -inf in two key dims: a query whose two scores both come out -inf
+    // gives those keys exactly zero weight and stays finite, any other
+    // holds inf - inf. Item 2 gets whole -0 key columns. The infinities
+    // stay out of the NaN item: where the key's NaN meets the default NaN
+    // of inf - inf, IEEE 754 leaves open which of the two an operation
+    // returns, and the compiler may swap a product's operands.
+    for (const int64_t ne : {int64_t{65}, int64_t{300}}) {
+      Rng erng(static_cast<std::uint64_t>(ne));
+      Tensor eq = Tensor::randn({b, ne, d}, erng);
+      Tensor ek = Tensor::randn({b, d, ne}, erng);
+      Tensor ev = Tensor::randn({b, c, ne}, erng);
+      const auto key = [&](int64_t item, int64_t dim, int64_t j) -> float& {
+        return ek.data()[(item * d + dim) * ne + j];
+      };
+      const float inf = std::numeric_limits<float>::infinity();
+      key(0, 0, 0) = inf;
+      key(0, 3, ne - 1) = -inf;
+      for (int64_t dim = 0; dim < d; ++dim) {
+        key(2, dim, 0) = -0.f;
+        key(2, dim, ne - 1) = -0.f;
+      }
+      key(1, 2, 40) = std::numeric_limits<float>::quiet_NaN();
+      Tensor eout({b, c, ne});
+      attention_into(eq, ek, ev, scale, eout);
+      expect_bitwise(eout, composed_attention(eq, ek, ev, scale),
+                     "inf/-0 keys, N=" + std::to_string(ne) + ", " +
+                         std::to_string(threads) + " threads");
     }
   }
   pool.resize(restore);
@@ -446,10 +484,26 @@ TEST(TraceSession, ThrowsUnderGradMode) {
   EXPECT_EQ(sess.take_plan(out).instrs.size(), 1u);
 }
 
+TEST(TraceSession, TracingIsTrueOnlyInsideASessionOnItsThread) {
+  // tracing() is read from outside the library, as every ops:: caller
+  // reads it; the sanitizer lane checks that read.
+  EXPECT_FALSE(plan::tracing());
+  NoGradGuard no_grad;
+  Var in{Tensor({2, 3})};
+  {
+    plan::TraceSession sess({}, in);
+    EXPECT_TRUE(plan::tracing());
+    bool other_thread = true;
+    std::thread([&] { other_thread = plan::tracing(); }).join();
+    EXPECT_FALSE(other_thread);
+  }
+  EXPECT_FALSE(plan::tracing());
+}
+
 TEST(PlanRunner, ThrownCompileIsNotCachedAndRetries) {
-  // A fault inside the traced compile propagates and caches nothing, so
-  // the shape's next forward compiles instead of interpreting for the
-  // runner's whole life.
+  // A fault inside the traced compile throws CompileError, naming the
+  // fault, and caches nothing, so the shape's next forward compiles instead
+  // of interpreting for the runner's whole life.
   auto model = train::make_model("SAU-FNO-micro", 3, 1, 7);
   model->set_training(false);
   plan::PlanRunner runner(model, plan::Mode::kOn);
@@ -457,7 +511,13 @@ TEST(PlanRunner, ThrownCompileIsNotCachedAndRetries) {
   Rng rng = testing::test_rng();
   const Tensor x = Tensor::randn(shape, rng);
   ASSERT_TRUE(fault::configure("gemm:throw:n=1", 1));
-  EXPECT_THROW(runner.forward(x), fault::FaultInjectedError);
+  try {
+    runner.forward(x);
+    ADD_FAILURE() << "the faulted compile did not throw";
+  } catch (const plan::CompileError& e) {
+    EXPECT_NE(std::string(e.what()).find("gemm"), std::string::npos)
+        << e.what();
+  }
   EXPECT_EQ(runner.cache_size(), 0u);
   EXPECT_NO_THROW(runner.forward(x));
   EXPECT_EQ(fault::injected_count("gemm"), 1);

@@ -206,18 +206,14 @@ TEST(ElementwiseOps, FusedAddGeluBitIdenticalToScalarGelu) {
   const Tensor a = Tensor::randn({3, 5, 7, 9}, rng);
   const Tensor b = Tensor::randn({3, 5, 7, 9}, rng);
   const Tensor c = Tensor::randn({3, 5, 7, 9}, rng);
-  const Tensor row = Tensor::randn({9}, rng);
-  Tensor got2(a.shape()), got3(a.shape()), got_bcast(a.shape());
+  Tensor got2(a.shape()), got3(a.shape());
   fused_add_act_into(a, b, nullptr, Act::kGelu, got2);
   fused_add_act_into(a, b, &c, Act::kGelu, got3);
-  fused_add_act_into(a, row, nullptr, Act::kGelu, got_bcast);
   for (int64_t i = 0; i < a.numel(); ++i) {
     const float w2 = act_apply(Act::kGelu, a.at(i) + b.at(i));
     const float w3 = act_apply(Act::kGelu, (a.at(i) + b.at(i)) + c.at(i));
-    const float wb = act_apply(Act::kGelu, a.at(i) + row.at(i % 9));
     ASSERT_EQ(std::memcmp(&got2.at(i), &w2, sizeof(float)), 0) << i;
     ASSERT_EQ(std::memcmp(&got3.at(i), &w3, sizeof(float)), 0) << i;
-    ASSERT_EQ(std::memcmp(&got_bcast.at(i), &wb, sizeof(float)), 0) << i;
   }
 }
 
