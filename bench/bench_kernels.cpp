@@ -28,6 +28,18 @@
 // [8,24,64,64] and memcmps it against the scalar act_apply. A mismatch in
 // either exits nonzero in every mode.
 //
+// The microkernel rows time gemm_packed alone, on one thread with both
+// operands packed beforehand, at the three products the forward spends its
+// gemm time in: the attention scores (m = 4096 keys, n = 16 queries, k =
+// d = 12), the attention mix (m = c = 12, n = 64 queries, k = 4096 keys)
+// and dec0's conv (m = 12, n = 4096 pixels, k = 36 * 9). Each row records
+// its GFLOP/s beside a register-only FMA peak measured in the same run
+// (twelve independent fmadd chains, no memory), so the fraction of peak
+// compares across hosts, and memcmps its output against
+// gemm_chain_reference, the per-element contract of kernels.h; a mismatch
+// exits nonzero in every mode. At the portable level (SAUFNO_SIMD=0) the
+// peak reads 0.
+//
 // Also times the compiled-execution-plan forward (plan::PlanRunner) against
 // the define-by-run interpreter on the same weights and input, as the
 // median of 41 alternating single-call pairs: the two are bit-identical by
@@ -50,6 +62,7 @@
 #include <vector>
 
 #include "../tests/conv2d_reference.h"
+#include "../tests/gemm_chain_reference.h"
 #include "../tests/gemm_seed_reference.h"
 #include "../tests/pointwise_reference.h"
 #include "autograd/conv_ops.h"
@@ -312,6 +325,98 @@ GeluBench bench_gelu(const Shape& shape, bool smoke) {
   return r;
 }
 
+#if SAUFNO_X86_DISPATCH
+/// Twelve independent 8-lane fmadd chains, `iters` steps each, held in
+/// registers: the rate the microkernel's 6x16 tile would reach if its loads
+/// and broadcasts were free.
+__attribute__((target("avx2,fma"))) void fma_chains(int64_t iters) {
+  volatile float one = 1.f, tiny = 1e-7f;
+  const __m256 x = _mm256_set1_ps(one), y = _mm256_set1_ps(tiny);
+  __m256 a0 = y, a1 = y, a2 = y, a3 = y, a4 = y, a5 = y;
+  __m256 a6 = y, a7 = y, a8 = y, a9 = y, a10 = y, a11 = y;
+  for (int64_t i = 0; i < iters; ++i) {
+    a0 = _mm256_fmadd_ps(a0, x, y);
+    a1 = _mm256_fmadd_ps(a1, x, y);
+    a2 = _mm256_fmadd_ps(a2, x, y);
+    a3 = _mm256_fmadd_ps(a3, x, y);
+    a4 = _mm256_fmadd_ps(a4, x, y);
+    a5 = _mm256_fmadd_ps(a5, x, y);
+    a6 = _mm256_fmadd_ps(a6, x, y);
+    a7 = _mm256_fmadd_ps(a7, x, y);
+    a8 = _mm256_fmadd_ps(a8, x, y);
+    a9 = _mm256_fmadd_ps(a9, x, y);
+    a10 = _mm256_fmadd_ps(a10, x, y);
+    a11 = _mm256_fmadd_ps(a11, x, y);
+  }
+  __m256 sum = a0;
+  for (const __m256 a : {a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11}) {
+    sum = _mm256_add_ps(sum, a);
+  }
+  volatile float sink = _mm256_cvtss_f32(sum);
+  (void)sink;
+}
+#endif
+
+/// GFLOP/s of fma_chains, best of 3 runs of ~20 ms; 0 at the portable
+/// level.
+double fma_peak_gflops() {
+#if SAUFNO_X86_DISPATCH
+  if (simd::level() == simd::Level::kAvx2) {
+    constexpr int64_t kIters = 2000000;  // 384 MFLOP
+    return 12.0 * 8 * 2 * kIters /
+           time_per_call(1, [] { fma_chains(kIters); }) * 1e-9;
+  }
+#endif
+  return 0.0;
+}
+
+struct MicroBench {
+  std::string name;
+  int64_t m = 0, n = 0, k = 0;
+  double gflops = 0.0;
+  double peak_gflops = 0.0;
+  bool bitwise_equal = false;
+};
+
+/// One thread of gemm_packed, C[m, n] = A[m, k] B[k, n] with both operands
+/// packed outside the timed calls, memcmp'd against gemm_chain_reference.
+MicroBench bench_micro(const std::string& name, int64_t m, int64_t n,
+                       int64_t k, double peak_gflops) {
+  MicroBench r;
+  r.name = name;
+  r.m = m;
+  r.n = n;
+  r.k = k;
+  r.peak_gflops = peak_gflops;
+  Rng rng(static_cast<std::uint64_t>(m * 131 + n * 7 + k));
+  const Tensor a = Tensor::randn({m, k}, rng);
+  const Tensor b = Tensor::randn({k, n}, rng);
+  std::vector<float> ap(static_cast<std::size_t>(gemm_packed_a_floats(m, k)));
+  std::vector<float> bp(static_cast<std::size_t>(gemm_packed_b_floats(k, n)));
+  gemm_pack_a(a.data(), k, m, k, ap.data());
+  gemm_pack_b(b.data(), n, k, n, bp.data());
+  Tensor got({m, n}), want({m, n});
+  const double flop = 2.0 * static_cast<double>(m) * n * k;
+  const int iters = static_cast<int>(std::max(1.0, 1e8 / flop));
+  const double sec = time_per_call(iters, [&] {
+    gemm_packed(ap.data(), bp.data(), got.data(), n, m, n, k,
+                /*accumulate=*/false);
+  });
+  r.gflops = flop / sec * 1e-9;
+  gemm_chain_reference(a.data(), b.data(), want.data(), n, m, n, k,
+                       /*accumulate=*/false);
+  r.bitwise_equal =
+      std::memcmp(got.data(), want.data(),
+                  sizeof(float) * static_cast<std::size_t>(m * n)) == 0;
+  std::printf("microkernel %-6s m=%-5lld n=%-5lld k=%-5lld 1 thread: "
+              "%6.1f GFLOP/s, %.2f of the %.1f FMA peak  (%s)\n",
+              name.c_str(), static_cast<long long>(m),
+              static_cast<long long>(n), static_cast<long long>(k), r.gflops,
+              peak_gflops > 0 ? r.gflops / peak_gflops : 0.0, peak_gflops,
+              r.bitwise_equal ? "bit-identical" : "OUTPUTS DIFFER");
+  return r;
+}
+
 struct PlanBench {
   double compile_ms = 0.0;
   double speedup = 0.0;  // interpreted sec/call over plan sec/call
@@ -408,7 +513,8 @@ void write_json(const char* path, bool smoke, double ref_speedup,
                 const std::vector<AttentionBench>& attn,
                 const std::vector<ConvBench>& convs,
                 const std::vector<PointwiseBench>& pointwise,
-                const GeluBench& gelu) {
+                const GeluBench& gelu,
+                const std::vector<MicroBench>& micro) {
   JsonWriter w;
   w.begin_object();
   w.field("bench", "bench_kernels");
@@ -480,6 +586,23 @@ void write_json(const char* path, bool smoke, double ref_speedup,
   w.field("ms", gelu.ms, 4);
   w.field("bitwise_equal", gelu.bitwise_equal);
   w.end_object();
+  w.key("microkernel");
+  w.begin_array();
+  for (const MicroBench& mk : micro) {
+    w.begin_object();
+    w.field("name", mk.name);
+    w.field("threads", 1);
+    w.field("m", mk.m);
+    w.field("n", mk.n);
+    w.field("k", mk.k);
+    w.field("gflops", mk.gflops, 4);
+    w.field("peak_gflops", mk.peak_gflops, 4);
+    w.field("fraction_of_peak",
+            mk.peak_gflops > 0 ? mk.gflops / mk.peak_gflops : 0.0, 4);
+    w.field("bitwise_equal", mk.bitwise_equal);
+    w.end_object();
+  }
+  w.end_array();
   w.key("results");
   w.begin_array();
   for (const auto& e : g_entries) {
@@ -561,10 +684,18 @@ int main(int argc, char** argv) {
                                       Act::kNone, smoke));
   const GeluBench gelu = bench_gelu(
       smoke ? Shape{2, 24, 24, 24} : Shape{8, 24, 64, 64}, smoke);
+  // The forward's three gemm products on one thread: sweep_64's attention
+  // scores and mix per 16- and 64-query step, and dec0's conv per image.
+  std::printf("\n");
+  const double peak = fma_peak_gflops();
+  std::vector<MicroBench> micro;
+  micro.push_back(bench_micro("scores", 4096, 16, 12, peak));
+  micro.push_back(bench_micro("mix", 12, 64, 4096, peak));
+  micro.push_back(bench_micro("dec0", 12, 4096, 36 * 9, peak));
   const PlanBench plan = bench_plan(smoke);
 
   write_json("BENCH_kernels.json", smoke, ref.speedup, plan, attn, convs,
-             pointwise, gelu);
+             pointwise, gelu, micro);
 
   int rc = 0;
   for (const AttentionBench& a : attn) {
@@ -591,6 +722,13 @@ int main(int argc, char** argv) {
                   static_cast<long long>(p.cin), static_cast<long long>(p.hw),
                   static_cast<long long>(p.hw),
                   static_cast<long long>(p.cout));
+      rc = 1;
+    }
+  }
+  for (const MicroBench& mk : micro) {
+    if (!mk.bitwise_equal) {
+      std::printf("FAIL: gemm_packed differs from the per-element chain "
+                  "reference at %s\n", mk.name.c_str());
       rc = 1;
     }
   }

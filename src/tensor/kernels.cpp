@@ -13,11 +13,13 @@ namespace saufno {
 namespace {
 
 // Blocked-gemm geometry. MR x NR is the register tile: 6 rows x 16 columns
-// is 12 fp32 accumulator vectors plus 2 B vectors plus 1 broadcast, which
-// exactly fills the 16 YMM registers of the AVX2 path (the portable body
-// uses the same shape so both paths tile the matrix identically). KC is the
-// K-block: one packed B panel slice (KC*NR floats = 32 KB) stays L2-resident
-// while every row panel of a chunk streams over it.
+// is 12 fp32 accumulator vectors plus 2 B vectors plus 1 broadcast, 15 of
+// the 16 YMM registers of the AVX2 path, so the k loop needs no stack
+// memory (bench/check_loop_spills.py checks the disassembly). The
+// portable body uses the same shape so both paths tile the matrix
+// identically. KC is the K-block: one packed B panel slice (KC*NR floats =
+// 32 KB) stays L2-resident while every row panel of a chunk streams over
+// it.
 constexpr int64_t kMR = 6;
 constexpr int64_t kNR = kGemmPanelCols;
 constexpr int64_t kKC = 512;
@@ -61,20 +63,42 @@ void micro_kernel_scalar(int64_t kc, const float* ap, const float* bp,
 __attribute__((target("avx2,fma"))) void micro_kernel_avx2(
     int64_t kc, const float* ap, const float* bp, float* c, int64_t ldc,
     bool assign) {
-  __m256 acc[kMR][2];
-  for (int64_t r = 0; r < kMR; ++r) {
-    acc[r][0] = _mm256_setzero_ps();
-    acc[r][1] = _mm256_setzero_ps();
-  }
+  static_assert(kMR == 6 && kNR == 16, "the body below is the 6x16 tile");
+  // The 12 accumulators are named locals, cRH = row R, columns 8H..8H+7.
+  // As an array, `__m256 acc[kMR][2]`, GCC 12 at -O3 kept them in
+  // registers but also stored 10 of the 12 to the stack on every kk step;
+  // bench/check_loop_spills.py fails if the loop touches the stack again.
+  __m256 c00 = _mm256_setzero_ps(), c01 = _mm256_setzero_ps();
+  __m256 c10 = _mm256_setzero_ps(), c11 = _mm256_setzero_ps();
+  __m256 c20 = _mm256_setzero_ps(), c21 = _mm256_setzero_ps();
+  __m256 c30 = _mm256_setzero_ps(), c31 = _mm256_setzero_ps();
+  __m256 c40 = _mm256_setzero_ps(), c41 = _mm256_setzero_ps();
+  __m256 c50 = _mm256_setzero_ps(), c51 = _mm256_setzero_ps();
   for (int64_t kk = 0; kk < kc; ++kk, ap += kMR, bp += kNR) {
     const __m256 b0 = _mm256_loadu_ps(bp);
     const __m256 b1 = _mm256_loadu_ps(bp + 8);
-    for (int64_t r = 0; r < kMR; ++r) {
-      const __m256 a = _mm256_broadcast_ss(ap + r);
-      acc[r][0] = _mm256_fmadd_ps(a, b0, acc[r][0]);
-      acc[r][1] = _mm256_fmadd_ps(a, b1, acc[r][1]);
-    }
+    __m256 a = _mm256_broadcast_ss(ap + 0);
+    c00 = _mm256_fmadd_ps(a, b0, c00);
+    c01 = _mm256_fmadd_ps(a, b1, c01);
+    a = _mm256_broadcast_ss(ap + 1);
+    c10 = _mm256_fmadd_ps(a, b0, c10);
+    c11 = _mm256_fmadd_ps(a, b1, c11);
+    a = _mm256_broadcast_ss(ap + 2);
+    c20 = _mm256_fmadd_ps(a, b0, c20);
+    c21 = _mm256_fmadd_ps(a, b1, c21);
+    a = _mm256_broadcast_ss(ap + 3);
+    c30 = _mm256_fmadd_ps(a, b0, c30);
+    c31 = _mm256_fmadd_ps(a, b1, c31);
+    a = _mm256_broadcast_ss(ap + 4);
+    c40 = _mm256_fmadd_ps(a, b0, c40);
+    c41 = _mm256_fmadd_ps(a, b1, c41);
+    a = _mm256_broadcast_ss(ap + 5);
+    c50 = _mm256_fmadd_ps(a, b0, c50);
+    c51 = _mm256_fmadd_ps(a, b1, c51);
   }
+  // The fold of this K block, after the loop: store, or add to C then store.
+  __m256 acc[kMR][2] = {{c00, c01}, {c10, c11}, {c20, c21},
+                        {c30, c31}, {c40, c41}, {c50, c51}};
   for (int64_t r = 0; r < kMR; ++r) {
     float* crow = c + r * ldc;
     if (!assign) {

@@ -154,7 +154,14 @@ void scaled_softmax_lastdim_into(const Tensor& a, float scale, Tensor& out);
 /// the packed Pᵀ layout of the mix product, and the scaled softmax runs
 /// down the panel columns with the row softmax's own operations in its
 /// order. Bit-identical to bmm -> scaled_softmax_lastdim -> permute -> bmm
-/// for every SAUFNO_NUM_THREADS.
+/// for every SAUFNO_NUM_THREADS, NaN included, while at most one NaN
+/// payload is in play per batch item. When two NaNs with different
+/// payloads meet in one add or multiply, the compiler's operand order
+/// decides which survives: a NaN key (0x7fc00000) beside an inf key (whose
+/// inf - inf gives 0xffc00000) in one item may come out with either
+/// payload here and in the chain. PlanKernels.
+/// AttentionBitIdenticalToComposition keeps its infinities out of the NaN
+/// item for this reason.
 void attention_into(const Tensor& q, const Tensor& k, const Tensor& v,
                     float scale, Tensor& out);
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include "autograd/conv_ops.h"
 #include "common/rng.h"
 #include "conv2d_reference.h"
+#include "gemm_chain_reference.h"
 #include "gemm_seed_reference.h"
 #include "runtime/thread_pool.h"
 #include "tensor/kernels.h"
@@ -597,6 +599,59 @@ TEST(Gemm, PackTransposedMatchesPackOfTranspose) {
   gemm_pack_bt(s.data(), k, n, k, got.data());
   EXPECT_EQ(std::memcmp(got.data(), want.data(), sizeof(float) * want.size()),
             0);
+}
+
+TEST(Gemm, EachElementIsOneChainPerKBlock) {
+  // gemm and gemm_packed against gemm_chain_reference, the per-element
+  // contract of kernels.h, memcmp'd. k = 511, 512 and 513 straddle the
+  // 512-wide K block and 1100 folds three blocks; 13 x 37 leaves a 1-row
+  // and a 5-column edge tile beside full tiles. Runs at the detected SIMD
+  // level; CI runs it again under SAUFNO_SIMD=0 and at a 3-lane pool.
+  const int64_t m = 13, n = 37;
+  const auto expect_same_bits = [](const float* got, const float* want,
+                                   int64_t count, const std::string& what) {
+    EXPECT_EQ(std::memcmp(got, want, sizeof(float) * count), 0) << what;
+  };
+  for (const int64_t k : {1, 12, 511, 512, 513, 1100}) {
+    SCOPED_TRACE("k " + std::to_string(k));
+    Rng rng(static_cast<std::uint64_t>(k));
+    const Tensor a = Tensor::randn({m, k}, rng);
+    const Tensor b = Tensor::randn({k, n}, rng);
+    const Tensor c0 = Tensor::randn({m, n}, rng);
+    std::vector<float> ap(static_cast<std::size_t>(gemm_packed_a_floats(m, k)));
+    std::vector<float> bp(static_cast<std::size_t>(gemm_packed_b_floats(k, n)));
+    gemm_pack_a(a.data(), k, m, k, ap.data());
+    gemm_pack_b(b.data(), n, k, n, bp.data());
+    for (const bool accumulate : {false, true}) {
+      const std::string fold = accumulate ? "accumulate" : "assign";
+      Tensor want = c0.clone();
+      gemm_chain_reference(a.data(), b.data(), want.data(), n, m, n, k,
+                           accumulate);
+      Tensor got = c0.clone();
+      gemm(a.data(), b.data(), got.data(), m, n, k, accumulate);
+      expect_same_bits(got.data(), want.data(), m * n, "gemm, " + fold);
+      got = c0.clone();
+      gemm_packed(ap.data(), bp.data(), got.data(), n, m, n, k, accumulate);
+      expect_same_bits(got.data(), want.data(), m * n,
+                       "gemm_packed, " + fold);
+    }
+    // The attention scores' call: A = Kᵀ packed from K [k, m], B = Qᵀ
+    // packed from Q's rows, C one [m, 16] packed-B panel (ldc = 16) with 16
+    // live columns, or 12 as in a partial last panel.
+    const Tensor s = Tensor::randn({k, m}, rng);
+    gemm_pack_at(s.data(), m, m, k, ap.data());
+    for (const int64_t rows : {16, 12}) {
+      const Tensor q = Tensor::randn({rows, k}, rng);
+      gemm_pack_bt(q.data(), k, rows, k, bp.data());
+      Tensor want({m, kGemmPanelCols}), got({m, kGemmPanelCols});
+      gemm_chain_reference(transpose2d(s).data(), transpose2d(q).data(),
+                           want.data(), kGemmPanelCols, m, rows, k, false);
+      gemm_packed(ap.data(), bp.data(), got.data(), kGemmPanelCols, m, rows,
+                  k, false);
+      expect_same_bits(got.data(), want.data(), m * kGemmPanelCols,
+                       "panel, " + std::to_string(rows) + " live columns");
+    }
+  }
 }
 
 // Property sweep: resize adjoint identity across a grid of sizes.
