@@ -48,10 +48,12 @@
 //
 // Results are printed AND written to BENCH_kernels.json so the performance
 // trajectory is machine-trackable across PRs. `--smoke` (or SAUFNO_SMOKE=1)
-// shrinks sizes so CI runs in seconds; in smoke mode the binary exits
-// nonzero if the new gemm is SLOWER than the seed kernel at the reference
-// shape, or if the plan-mode forward is slower than the interpreted one —
-// either perf regression fails CI instead of just flattening a graph.
+// shrinks sizes so CI runs in seconds and writes BENCH_kernels.smoke.json
+// instead, so a smoke run never replaces the committed full-mode file. In
+// smoke mode the binary exits nonzero if the new gemm is SLOWER than the
+// seed kernel at the reference shape, or if the plan-mode forward is slower
+// than the interpreted one — either perf regression fails CI instead of
+// just flattening a graph.
 
 #include <algorithm>
 #include <cmath>
@@ -694,8 +696,8 @@ int main(int argc, char** argv) {
   micro.push_back(bench_micro("dec0", 12, 4096, 36 * 9, peak));
   const PlanBench plan = bench_plan(smoke);
 
-  write_json("BENCH_kernels.json", smoke, ref.speedup, plan, attn, convs,
-             pointwise, gelu, micro);
+  write_json(smoke ? "BENCH_kernels.smoke.json" : "BENCH_kernels.json", smoke,
+             ref.speedup, plan, attn, convs, pointwise, gelu, micro);
 
   int rc = 0;
   for (const AttentionBench& a : attn) {

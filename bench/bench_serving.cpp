@@ -26,7 +26,8 @@
 // (default 750 ms), every request must be answered, and the error rate must
 // stay under 1%.
 //
-// Results land in BENCH_serving.json (rewritten wholesale):
+// Results land in BENCH_serving.json (BENCH_serving.smoke.json under
+// --smoke), rewritten wholesale:
 //   saturation_rps, per-phase {requests, offered/achieved rps, ok/shed/
 //   errors, p50/p99/p99.9/max ms}, tenant mix.
 //
@@ -423,7 +424,10 @@ int main(int argc, char** argv) {
   jw.field("protocol_errors", stats.protocol_errors);
   jw.end_object();
   jw.end_object();
-  if (!jw.write_file("BENCH_serving.json")) return 1;
+  if (!jw.write_file(smoke ? "BENCH_serving.smoke.json"
+                           : "BENCH_serving.json")) {
+    return 1;
+  }
 
   if (smoke) {
     // CI gates: the serving stack must answer EVERYTHING it was offered,

@@ -5,7 +5,8 @@
 //
 // Results are printed AND written to BENCH_spectral.json so the performance
 // trajectory is machine-trackable across PRs. `--smoke` (or SAUFNO_SMOKE=1)
-// shrinks every size so CI can keep the binary from bit-rotting in seconds.
+// shrinks every size so CI can keep the binary from bit-rotting in seconds,
+// and writes BENCH_spectral.smoke.json instead of the committed file.
 
 #include <algorithm>
 #include <cstdio>
@@ -323,7 +324,8 @@ int main(int argc, char** argv) {
   bench_rfft_vs_complex(smoke);
   const double s2 = bench_spectral_conv2d(smoke);
   const double s3 = bench_spectral_conv3d(smoke);
-  write_json("BENCH_spectral.json", smoke, s2, s3);
+  write_json(smoke ? "BENCH_spectral.smoke.json" : "BENCH_spectral.json",
+             smoke, s2, s3);
   std::printf("\nend-to-end speedup: conv2d %.2fx, conv3d %.2fx\n", s2, s3);
   return 0;
 }

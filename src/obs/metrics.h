@@ -11,14 +11,16 @@ namespace obs {
 
 /// Metrics registry — pillar 1 of the telemetry subsystem.
 ///
-/// Hot-path cost model: every mutation is a single relaxed atomic RMW on a
-/// cell this thread (almost always) owns exclusively. Counters shard their
-/// cells across cache lines and hand each thread its own slot, so concurrent
-/// increments never bounce a line; histograms bump one bucket of a
-/// log-spaced table. Aggregation (summing shards, walking buckets) happens
-/// only on scrape. Instrumented code caches the metric reference once
-/// (`static obs::Counter& c = obs::counter("...")`) so the name lookup and
-/// its mutex are off the hot path entirely.
+/// Hot-path cost model: only `Counter` is sharded. Its cells sit on separate
+/// cache lines and each thread adds to its own slot, so concurrent
+/// increments never bounce a line. `Gauge` is one shared atomic.
+/// `Histogram::record` touches cells every thread shares: a relaxed add on
+/// one bucket of a log-spaced table, a relaxed add on the count, and a CAS
+/// loop on the sum, plus one on min and on max when the value moves them.
+/// Aggregation (summing shards, walking buckets) happens only on scrape.
+/// Instrumented code caches the metric reference once (`static
+/// obs::Counter& c = obs::counter("...")`) so the name lookup and its mutex
+/// are off the hot path entirely.
 
 /// Index of the calling thread's counter shard. Slots are handed out
 /// round-robin at first use; with more live threads than shards two threads

@@ -6,7 +6,6 @@
 #include <mutex>
 #include <vector>
 
-#include "common/env.h"
 #include "common/logging.h"
 
 namespace saufno {
@@ -24,11 +23,7 @@ struct Event {
   uint32_t tid;
 };
 
-int buffer_capacity() {
-  static const int cap =
-      env_int_in_range("SAUFNO_TRACE_BUFFER", 65536, 1024, 1 << 24);
-  return cap;
-}
+constexpr std::size_t kBufferCapacity = 65536;  // events per thread
 
 /// Single-writer event buffer: the owning thread appends and publishes via
 /// `n` (release); readers (trace_stop) load `n` (acquire) and read only the
@@ -62,7 +57,7 @@ TraceRegistry& trace_registry() {
 TraceBuffer& local_buffer() {
   thread_local TraceBuffer* buf = [] {
     auto* b = new TraceBuffer();
-    b->events.resize(static_cast<std::size_t>(buffer_capacity()));
+    b->events.resize(kBufferCapacity);
     auto& r = trace_registry();
     std::lock_guard<std::mutex> lk(r.m);
     b->tid = r.next_tid++;
@@ -193,7 +188,7 @@ void trace_stop() {
   std::fclose(f);
   if (dropped > 0) {
     SAUFNO_WARN << "trace dropped " << dropped
-                << " events (raise SAUFNO_TRACE_BUFFER)";
+                << " events (a thread filled its 65536-event buffer)";
   }
 }
 

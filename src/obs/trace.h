@@ -44,8 +44,8 @@ void trace_start(const std::string& path);
 /// trace-event JSON. Idempotent; no-op when tracing never started.
 void trace_stop();
 
-/// Events dropped because a thread buffer filled (capacity is
-/// SAUFNO_TRACE_BUFFER events per thread, default 65536).
+/// Events dropped because a thread buffer filled (capacity 65536 events
+/// per thread).
 int64_t trace_dropped_events();
 
 /// RAII span. `name` must outlive the process (string literals only): the

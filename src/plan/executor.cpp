@@ -1,6 +1,5 @@
 #include "plan/executor.h"
 
-#include <array>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -10,7 +9,6 @@
 #include "autograd/spectral_ops.h"
 #include "common/fault.h"
 #include "common/logging.h"
-#include "obs/kernel_profile.h"
 #include "obs/metrics.h"
 #include "tensor/tensor_ops.h"
 
@@ -18,21 +16,6 @@ namespace saufno {
 namespace plan {
 
 namespace {
-
-constexpr std::size_t kNumOps = static_cast<std::size_t>(OpCode::kCount);
-
-/// Per-opcode latency histograms ("plan.instr.<op>_us"), materialized once.
-obs::Histogram& instr_hist(OpCode op) {
-  static std::array<obs::Histogram*, kNumOps>* hists = [] {
-    auto* h = new std::array<obs::Histogram*, kNumOps>{};
-    for (std::size_t i = 0; i < kNumOps; ++i) {
-      (*h)[i] = &obs::histogram(std::string("plan.instr.") +
-                                op_name(static_cast<OpCode>(i)) + "_us");
-    }
-    return h;
-  }();
-  return *(*hists)[static_cast<std::size_t>(op)];
-}
 
 /// Runs `ins` on the bound slot tensors into `out`. One case per opcode and
 /// no default, so -Wswitch rejects an opcode without a kernel at build time.
@@ -219,7 +202,6 @@ Tensor PlanExecutor::run(const Tensor& input) {
   for (const auto& level : p.levels) {
     for (const int32_t idx : level) {
       const Instr& ins = p.instrs[static_cast<std::size_t>(idx)];
-      obs::KernelTimer timer(instr_hist(ins.op), op_name(ins.op));
       run_kernel(ins, b->slots, b->slots[static_cast<std::size_t>(ins.out)]);
     }
   }

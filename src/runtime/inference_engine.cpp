@@ -45,24 +45,6 @@ EngineMetrics& engine_metrics() {
   return m;
 }
 
-/// Latency histogram for a power-of-two batch-size class (bs1, bs2, bs4,
-/// ..., bs1024): mixed traffic shows at a glance whether full batches are
-/// actually cheaper per request than stragglers.
-obs::Histogram& batch_size_class_hist(int64_t bsz) {
-  constexpr int kClasses = 11;  // 2^0 .. 2^10 (max_batch is capped at 1024)
-  static obs::Histogram* const* hists = [] {
-    static obs::Histogram* h[kClasses];
-    for (int i = 0; i < kClasses; ++i) {
-      h[i] = &obs::histogram("engine.latency_ms.bs" +
-                             std::to_string(int64_t{1} << i));
-    }
-    return h;
-  }();
-  int cls = 0;
-  while ((int64_t{1} << cls) < bsz && cls < kClasses - 1) ++cls;
-  return *hists[cls];
-}
-
 /// Index of the first NaN/Inf in p[0, n), or -1 when all values are finite.
 int64_t find_nonfinite(const float* p, int64_t n) {
   for (int64_t i = 0; i < n; ++i) {
@@ -574,13 +556,11 @@ void InferenceEngine::forward_and_deliver(std::vector<InferenceRequest>& batch,
     Tensor result(result_shape);
     std::memcpy(result.data(), decoded.data() + i * out_sample,
                 sizeof(float) * static_cast<std::size_t>(out_sample));
-    complete_value(batch[lo + static_cast<std::size_t>(i)], std::move(result),
-                   bsz);
+    complete_value(batch[lo + static_cast<std::size_t>(i)], std::move(result));
   }
 }
 
-void InferenceEngine::complete_value(InferenceRequest& req, Tensor result,
-                                     int64_t batch_rows) {
+void InferenceEngine::complete_value(InferenceRequest& req, Tensor result) {
   const auto now = std::chrono::steady_clock::now();
   // Last line of the deadline contract: a future never resolves with a
   // value after its deadline, even if the result is sitting right here.
@@ -609,7 +589,6 @@ void InferenceEngine::complete_value(InferenceRequest& req, Tensor result,
   em.requests.add();
   latency_hist_.record(ms);
   em.latency_ms.record(ms);
-  batch_size_class_hist(batch_rows).record(ms);
   if (!req.result->try_value(std::move(result))) {
     // The watchdog beat us to this slot and counted it as failed; the
     // client saw an error, so undo the optimistic value count.

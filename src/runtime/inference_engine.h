@@ -197,9 +197,8 @@ class InferenceEngine {
   void forward_and_deliver(std::vector<InferenceRequest>& batch,
                            std::size_t lo, std::size_t hi);
   /// Deliver a value honoring the request's deadline (a late value becomes
-  /// DeadlineExceededError) and record latency/occupancy accounting.
-  void complete_value(InferenceRequest& req, Tensor result,
-                      int64_t batch_rows);
+  /// DeadlineExceededError) and record latency accounting.
+  void complete_value(InferenceRequest& req, Tensor result);
   void complete_error(InferenceRequest& req, std::exception_ptr e);
   void note_batch_window(const std::vector<InferenceRequest>& batch,
                          std::size_t lo, std::size_t hi);

@@ -83,34 +83,34 @@ int64_t ThreadPool::queued_tasks() const {
   return static_cast<int64_t>(queue_.size());
 }
 
-/// Idle time is measured only around the cv sleep (2 clock reads per
-/// sleep/wake cycle, off the task-execution fast path), and per-task busy
-/// time only under SAUFNO_PROFILE_KERNELS so a fine-grained parallel_for is
-/// never taxed with clock reads by default.
+/// Busy and idle time come from the two clock reads around each cv sleep:
+/// the stretch from the last wake to the next sleep is busy, the sleep is
+/// idle, and the stretch from the last wake to exit is busy too. Always on,
+/// at one sharded counter add per sleep; running a task reads no clock.
 void ThreadPool::worker_loop() {
   static obs::Counter& idle_us = obs::counter("pool.worker_idle_us");
   static obs::Counter& busy_us = obs::counter("pool.worker_busy_us");
+  int64_t last_wake = now_us();
   for (;;) {
     std::function<void()> task;
     {
       std::unique_lock<std::mutex> lk(m_);
       if (queue_.empty() && !stop_) {
-        const int64_t t0 = now_us();
+        const int64_t sleep_start = now_us();
+        busy_us.add(sleep_start - last_wake);
         cv_.wait(lk, [this] { return stop_ || !queue_.empty(); });
-        idle_us.add(now_us() - t0);
+        last_wake = now_us();
+        idle_us.add(last_wake - sleep_start);
       }
       // Drain before exiting, so resize never drops a queued task.
-      if (queue_.empty()) return;
+      if (queue_.empty()) {
+        busy_us.add(now_us() - last_wake);
+        return;
+      }
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    if (obs::profile_kernels()) {
-      const int64_t t0 = now_us();
-      task();
-      busy_us.add(now_us() - t0);
-    } else {
-      task();
-    }
+    task();
   }
 }
 

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -523,6 +524,56 @@ TEST(PlanRunner, ThrownCompileIsNotCachedAndRetries) {
   EXPECT_EQ(fault::injected_count("gemm"), 1);
   fault::clear();
   EXPECT_NE(runner.executor_for(shape), nullptr);
+}
+
+/// Sample count of every `kernel.*` histogram in the registry, by name.
+std::map<std::string, int64_t> kernel_sample_counts() {
+  std::map<std::string, int64_t> counts;
+  for (const auto& m : obs::Registry::instance().snapshot()) {
+    if (m.kind == obs::MetricKind::kHistogram &&
+        m.name.rfind("kernel.", 0) == 0) {
+      counts[m.name] = m.count;
+    }
+  }
+  return counts;
+}
+
+TEST(PlanVsInterp, BothPathsRecordTheSameKernelSamples) {
+  // Each kernel is timed once, where it runs, and the executor adds no
+  // timer of its own: a profiled planned forward records exactly the
+  // kernel.* samples an interpreted one does.
+  auto model = train::make_model("SAU-FNO-micro", 3, 1, /*seed=*/7);
+  model->set_training(false);
+  plan::PlanRunner planned(model, plan::Mode::kOn);
+  plan::PlanRunner interp(model, plan::Mode::kOff);
+  Rng rng = testing::test_rng();
+  const Tensor x = Tensor::randn({2, 3, 12, 12}, rng);
+  planned.forward(x);  // compile outside the profiled forward
+  ASSERT_NE(planned.executor_for(x.shape()), nullptr);
+  const auto profiled_delta = [&](plan::PlanRunner& runner) {
+    const std::map<std::string, int64_t> before = kernel_sample_counts();
+    obs::force_profile_kernels(true);
+    runner.forward(x);
+    obs::force_profile_kernels(false);
+    std::map<std::string, int64_t> delta = kernel_sample_counts();
+    for (auto& [name, n] : delta) {
+      const auto it = before.find(name);
+      if (it != before.end()) n -= it->second;
+    }
+    return delta;
+  };
+  const std::map<std::string, int64_t> from_interp = profiled_delta(interp);
+  const std::map<std::string, int64_t> from_plan = profiled_delta(planned);
+  EXPECT_EQ(from_plan, from_interp);
+  for (const char* name : {"kernel.conv2d_us", "kernel.attention_us",
+                           "kernel.rfft_2d_us", "kernel.irfft_2d_us"}) {
+    const auto it = from_plan.find(name);
+    ASSERT_NE(it, from_plan.end()) << name;
+    EXPECT_GT(it->second, 0) << name;
+  }
+  for (const auto& m : obs::Registry::instance().snapshot()) {
+    EXPECT_NE(m.name.rfind("plan.instr.", 0), 0u) << m.name;
+  }
 }
 
 TEST(InferenceEngine, PlanModeBitIdenticalToInterpretedServing) {

@@ -143,6 +143,30 @@ TEST(ParallelFor, SubmitsOneTaskPerExtraLaneUpToChunksMinusOne) {
   EXPECT_EQ(tasks_for(100), 0);  // pool 1: inline, nothing queued
 }
 
+TEST(ThreadPool, BusyTimeAdvancesWithProfilingOff) {
+  // Busy time comes from the clock reads around each worker sleep, so it
+  // needs no kernel profiling. A worker adds its busy stretch when it next
+  // sleeps: repeat bursts of ~1 ms chunks until one lands, under a deadline.
+  PoolSize guard(2);
+  obs::force_profile_kernels(false);
+  obs::Counter& busy_us = obs::counter("pool.worker_busy_us");
+  const int64_t before = busy_us.value();
+  const auto spin_1ms = [](int64_t, int64_t) {
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(1);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (busy_us.value() == before &&
+         std::chrono::steady_clock::now() < deadline) {
+    parallel_for(0, 16, 1, spin_1ms);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_GT(busy_us.value(), before);
+}
+
 TEST(ParallelFor, NestedLoopsAreBitIdenticalAcrossThreadCounts) {
   // An outer batch loop of row loops writing disjoint slots — the FFT / bmm
   // nesting shape. Identical bits required at 1/2/8 threads.
