@@ -7,11 +7,12 @@
 // The attention_block rows time the fused attention kernel (attention_into:
 // each 64-query block's scores computed transposed, straight into the
 // packed Pᵀ panels the mix product reads, with the softmax run down their
-// columns) against the composed chain it replaced (bmm -> scaled softmax ->
-// permute -> bmm over [B,N,N] buffers), and memcmp the two outputs; a
+// columns) against the composed chain it replaced (bmm(permute(q), k) ->
+// scaled softmax -> permute -> bmm over [B,N,N] buffers, with q and k
+// [B,d,N] as the projections write them), and memcmp the two outputs; a
 // mismatch exits nonzero in every mode. The rows are sweep_64's shape,
-// [8,4096,d] on the whole pool for d = c = 12 (the zoo's SAU-FNO width) and
-// 32, and serve_40's [8,1600,12] at the 1 thread it serves on.
+// N = 4096 on the whole pool for d = c = 12 (the zoo's SAU-FNO width) and
+// 32, and serve_40's N = 1600, d = c = 12 at the 1 thread it serves on.
 //
 // The conv2d rows time the forward convolution (ops::fwd::conv2d_into,
 // bias + ReLU as the U-Net runs it) at the two widest per-partition convs
@@ -179,14 +180,14 @@ AttentionBench bench_attention(int64_t batch, int64_t n, int64_t c,
   const int64_t d = r.c;
   const float scale = 1.f / std::sqrt(static_cast<float>(d));
   Rng rng(17);
-  Tensor q = Tensor::randn({r.batch, r.n, d}, rng);
+  Tensor q = Tensor::randn({r.batch, d, r.n}, rng);
   Tensor k = Tensor::randn({r.batch, d, r.n}, rng);
   Tensor v = Tensor::randn({r.batch, r.c, r.n}, rng);
   Tensor fused({r.batch, r.c, r.n});
   Tensor composed;
   const int iters = smoke ? 4 : 1;  // best of 3 either way
   r.ms_composed = 1e3 * time_per_call(iters, [&] {
-    Tensor s = bmm(q, k);
+    Tensor s = bmm(permute(q, {0, 2, 1}), k);
     scaled_softmax_lastdim_into(s, scale, s);
     composed = bmm(v, permute(s, {0, 2, 1}));
   });

@@ -9,7 +9,9 @@
 // BENCH_rollout.smoke.json instead. In smoke mode the binary evaluates
 // three gates (batching, the 2% telemetry budget, multicore scaling),
 // prints a FAIL line for each that fails, and then exits 1 if any did, so a
-// regression breaks the pipeline instead of a graph.
+// regression breaks the pipeline instead of a graph. A sanitized build
+// (ASan or TSan) prints the telemetry and scaling numbers without gating
+// them; only its batching gate can fail.
 
 #include <algorithm>
 #include <cstdio>
@@ -254,6 +256,22 @@ int main(int argc, char** argv) {
       rc = 1;
     }
   }
+  // The timing gates check the build that produces the committed numbers.
+  // A sanitized build times instrumented code, where single telemetry
+  // window pairs span about -211..+74% under ASan+UBSan: it prints both
+  // numbers and gates neither.
+  const int widest = session_counts.back();
+  double at1 = 0.0, at8 = 0.0;
+  for (const auto& e : g_entries) {
+    if (e.sessions != widest) continue;
+    if (e.threads == 1) at1 = e.steps_per_sec;
+    if (e.threads == 8) at8 = e.steps_per_sec;
+  }
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  std::printf("sanitized build: telemetry overhead %.2f%% and %d-session "
+              "scaling %.2fx (8 threads over 1) are not gated\n",
+              overhead_pct, widest, at1 > 0.0 ? at8 / at1 : 0.0);
+#else
   // Telemetry must stay within the 2% budget, judged on the paired-window
   // median.
   if (overhead_pct > 2.0) {
@@ -267,21 +285,14 @@ int main(int argc, char** argv) {
   // but a regression to serialized nesting (1.0x) fails.
   // Skipped on smaller runners, where an 8-lane pool timeshares cores and
   // the comparison measures nothing.
-  if (std::thread::hardware_concurrency() >= 4) {
-    const int widest = session_counts.back();
-    double at1 = 0.0, at8 = 0.0;
-    for (const auto& e : g_entries) {
-      if (e.sessions != widest) continue;
-      if (e.threads == 1) at1 = e.steps_per_sec;
-      if (e.threads == 8) at8 = e.steps_per_sec;
-    }
-    if (at1 > 0.0 && at8 > 0.0 && at8 < 1.15 * at1) {
-      std::printf("FAIL: %d-session rollout at 8 threads (%.1f steps/s) is "
-                  "not measurably above 1 thread (%.1f steps/s): multicore "
-                  "scaling regressed\n",
-                  widest, at8, at1);
-      rc = 1;
-    }
+  if (std::thread::hardware_concurrency() >= 4 && at1 > 0.0 && at8 > 0.0 &&
+      at8 < 1.15 * at1) {
+    std::printf("FAIL: %d-session rollout at 8 threads (%.1f steps/s) is "
+                "not measurably above 1 thread (%.1f steps/s): multicore "
+                "scaling regressed\n",
+                widest, at8, at1);
+    rc = 1;
   }
+#endif
   return rc;
 }

@@ -18,10 +18,7 @@ vectors must stay in registers across the k loop. The rest are reported
 only:
   - softmax_panel_avx2: the max pass (the loop of 8 running maxima) is
     clean; the exp+sum pass adds into a [key mod 8][query] array of double
-    sums on the stack by design (32 YMM of partial sums);
-  - pack_bt_panel_avx2: the second 8x8 block of each k step reloads
-    source-row pointers and spills 4 vectors (16 row pointers and 16
-    vectors do not fit the register files).
+    sums on the stack by design (32 YMM of partial sums).
 """
 
 import re
@@ -29,7 +26,7 @@ import subprocess
 import sys
 
 CLEAN = ["micro_kernel_avx2"]
-REPORT = ["softmax_panel_avx2", "pack_bt_panel_avx2"]
+REPORT = ["softmax_panel_avx2"]
 
 HEADER = re.compile(r"^[0-9a-f]+ <(.*)>:$")
 INSTR = re.compile(r"^\s*([0-9a-f]+):\s+(\S+)\s*(.*)$")

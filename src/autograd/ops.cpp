@@ -487,7 +487,7 @@ Var attention(const Var& q, const Var& k, const Var& v, float scale) {
   const Shape& vs = v.shape();
   SAUFNO_CHECK(qs.size() == 3 && vs.size() == 3,
                "attention requires 3-D q and v");
-  Tensor out({qs[0], vs[1], qs[1]});
+  Tensor out({qs[0], vs[1], qs[2]});
   attention_into(q.value(), k.value(), v.value(), scale, out);
   if (!any_requires_grad({q, k, v})) {
     return tr::record(OpCode::kAttention, {&q, &k, &v}, Var(std::move(out)),
@@ -496,13 +496,13 @@ Var attention(const Var& q, const Var& k, const Var& v, float scale) {
   auto node = make_node("attention", {q, k, v});
   auto iq = q.impl(), ik = k.impl(), iv = v.impl();
   node->backward = [iq, ik, iv, scale](const Tensor& g) {
-    // Recompute A = softmax(q k * scale) [B,N,N], then the adjoints of
+    // Recompute A = softmax(qᵀ k * scale) [B,N,N], then the adjoints of
     // out = bmm(v, A^T), the softmax and the scores bmm, in the composed
     // chain's own order.
     const Tensor& Q = iq->value;
     const Tensor& K = ik->value;
     const Tensor& V = iv->value;
-    Tensor a = saufno::bmm(Q, K);
+    Tensor a = saufno::bmm(saufno::permute(Q, {0, 2, 1}), K);
     scaled_softmax_lastdim_into(a, scale, a);
     accumulate_grad(iv, saufno::bmm(g, a));
     // dL/dA[i,j] = sum_c g[c,i] v[c,j].
@@ -511,8 +511,8 @@ Var attention(const Var& q, const Var& k, const Var& v, float scale) {
     Tensor row_sum = saufno::sum_dim(saufno::mul(ga, a), -1, /*keepdim=*/true);
     Tensor gs = saufno::mul_scalar(saufno::mul(a, saufno::sub(ga, row_sum)),
                                    scale);
-    accumulate_grad(iq, saufno::bmm(gs, saufno::permute(K, {0, 2, 1})));
-    accumulate_grad(ik, saufno::bmm(saufno::permute(Q, {0, 2, 1}), gs));
+    accumulate_grad(iq, saufno::bmm(K, saufno::permute(gs, {0, 2, 1})));
+    accumulate_grad(ik, saufno::bmm(Q, gs));
   };
   return Var::from_op(std::move(out), node);
 }

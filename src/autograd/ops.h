@@ -63,10 +63,11 @@ Var sum_dim(const Var& a, int64_t dim, bool keepdim);
 // Softmax along the last dimension (fused, numerically stable).
 Var softmax_lastdim(const Var& a);
 
-/// Fused attention: v [B,C,N] times softmax_lastdim(q [B,N,d] k [B,d,N] *
+/// Fused attention: v [B,C,N] times softmax_lastdim(q [B,d,N]ᵀ k [B,d,N] *
 /// scale) transposed -> [B,C,N]. Forward values are bit-identical to
-/// bmm(v, permute(softmax_lastdim(mul_scalar(bmm(q, k), scale)), {0,2,1}))
-/// without materializing the [B,N,N] scores; the backward recomputes them.
+/// bmm(v, permute(softmax_lastdim(mul_scalar(bmm(permute(q, {0,2,1}), k),
+/// scale)), {0,2,1})) without materializing the [B,N,N] scores; the
+/// backward recomputes them.
 Var attention(const Var& q, const Var& k, const Var& v, float scale);
 
 // Bilinear resize of the trailing two dims (align_corners=true).

@@ -8,14 +8,17 @@ namespace saufno {
 namespace baselines {
 
 Gar::Gar(const Config& cfg, Rng& rng) : cfg_(cfg) {
-  Fno::Config fc;
+  core::SauFno::Config fc;
   fc.in_channels = cfg.in_channels;
   fc.out_channels = cfg.out_channels;
   fc.width = cfg.coarse_width;
   fc.modes1 = cfg.coarse_modes;
   fc.modes2 = cfg.coarse_modes;
-  fc.n_layers = cfg.coarse_layers;
-  coarse_ = register_module("coarse", std::make_shared<Fno>(fc, rng));
+  fc.n_fourier = cfg.coarse_layers;
+  fc.n_ufourier = 0;
+  fc.attention = core::AttentionPlacement::kNone;
+  coarse_ = register_module("coarse",
+                            std::make_shared<core::SauFno>(fc, rng));
   residual_ = register_module(
       "residual",
       std::make_shared<nn::PointwiseConv>(cfg.in_channels, cfg.out_channels,

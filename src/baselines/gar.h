@@ -1,6 +1,6 @@
 #pragma once
 
-#include "baselines/fno.h"
+#include "core/sau_fno.h"
 #include "nn/linear.h"
 
 namespace saufno {
@@ -36,7 +36,7 @@ class Gar : public nn::Module {
 
  private:
   Config cfg_;
-  Fno* coarse_;
+  core::SauFno* coarse_;  // a plain FNO: no U-Fourier layer, no attention
   nn::PointwiseConv* residual_;
   Var alpha_;  // learnable fusion weight (scalar per output channel)
 };

@@ -32,9 +32,9 @@ Var SelfAttentionBlock::forward(const Var& x) {
   Var k = wk_->forward(x);  // [B, d, H, W]
   Var v = wh_->forward(x);  // [B, C, H, W] — the channel-attention map A_c
 
-  Var qn = ops::permute(ops::reshape(q, {B, d_, N}), {0, 2, 1});  // [B, N, d]
-  Var kn = ops::reshape(k, {B, d_, N});                           // [B, d, N]
-  Var vn = ops::reshape(v, {B, channels_, N});                    // [B, C, N]
+  Var qn = ops::reshape(q, {B, d_, N});         // [B, d, N]
+  Var kn = ops::reshape(k, {B, d_, N});         // [B, d, N]
+  Var vn = ops::reshape(v, {B, channels_, N});  // [B, C, N]
   // s_ij = <Q_i, K_j> / sqrt(d) — scaling keeps the softmax out of
   // saturation, standard since Vaswani et al. [30] — then
   // V'_i = sum_j A_s[i,j] A_c[:,j], i.e. V' = A_c * A_s^T ([B, C, N]).

@@ -19,10 +19,11 @@ enum class AttentionPlacement { kNone, kLast, kAll };
 /// Fourier layers -> M U-Fourier layers (Eq. 7) -> self-attention block(s)
 /// -> projection Q (pointwise MLP back to output channels).
 ///
-/// With `n_ufourier = 0` and attention kNone this degenerates to the FNO
-/// baseline; with attention kNone it is exactly U-FNO [34] — the paper uses
-/// those two ablations as its comparison set, and the model zoo builds them
-/// from this one class plus the dedicated baselines.
+/// With `n_ufourier = 0` and attention kNone this is the plain FNO baseline
+/// (Li et al. [23], Eq. 6: lifting, Fourier layers, projection — the "FNO"
+/// row of Table II and GAR's coarse stage); with attention kNone it is
+/// exactly U-FNO [34]. The paper uses those two ablations as its
+/// comparison set, and the model zoo builds both from this one class.
 class SauFno : public nn::Module {
  public:
   struct Config {

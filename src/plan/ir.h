@@ -56,8 +56,8 @@ enum class OpCode : std::uint8_t {
   kMaxPool2d,       // ivals = {kernel}
   kSpectralConv2d,  // ivals = {m1, m2, cout}; in = {x, w}
   kSpectralConv3d,  // ivals = {m1, m2, m3, cout}; in = {x, w}
-  kAttention,       // in = {q [B,N,d], k [B,d,N], v [B,C,N]}, fval = scale;
-                    // out [B,C,N] = v softmax_lastdim(q k * scale)^T,
+  kAttention,       // in = {q [B,d,N], k [B,d,N], v [B,C,N]}, fval = scale;
+                    // out [B,C,N] = v softmax_lastdim(qᵀ k * scale)^T,
                     // blocked over queries (no [N,N] slot)
   kFusedAddAct,     // out = act(in0 + in1 [+ in2]) from ops::add_act;
                     // all inputs of one shape

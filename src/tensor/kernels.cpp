@@ -136,60 +136,6 @@ void pack_a_panel(const float* a, int64_t lda, int64_t mr, int64_t k,
   }
 }
 
-// Transpose-pack rows [0, jw) of S [.., k] into one panel, layout
-// [kk][NR], dead columns zero-filled. Walks S in 8-column strips, so each
-// strip's NR source rows stay in L1 while the panel fills 8 rows at a time.
-void pack_bt_panel(const float* s, int64_t lds, int64_t jw, int64_t k,
-                   float* dst) {
-  for (int64_t kk = 0; kk < k; kk += 8) {
-    const int64_t kw = std::min<int64_t>(8, k - kk);
-    for (int64_t j = 0; j < kNR; ++j) {
-      const float* src = s + j * lds + kk;
-      for (int64_t t = 0; t < kw; ++t) {
-        dst[(kk + t) * kNR + j] = j < jw ? src[t] : 0.f;
-      }
-    }
-  }
-}
-
-#if SAUFNO_X86_DISPATCH
-__attribute__((target("avx2"))) void pack_bt_panel_avx2(const float* s,
-                                                        int64_t lds,
-                                                        int64_t k,
-                                                        float* dst) {
-  int64_t kk = 0;
-  for (; kk + 8 <= k; kk += 8) {
-    // Two 8x8 blocks (panel rows 0-7 and 8-15): unpack pairs, shuffle
-    // quads, then swap 128-bit halves — the standard register transpose.
-    for (int64_t h = 0; h < 2; ++h) {
-      const float* src = s + h * 8 * lds + kk;
-      __m256 r[8], t[8];
-      for (int64_t j = 0; j < 8; ++j) r[j] = _mm256_loadu_ps(src + j * lds);
-      for (int64_t j = 0; j < 8; j += 2) {
-        t[j] = _mm256_unpacklo_ps(r[j], r[j + 1]);
-        t[j + 1] = _mm256_unpackhi_ps(r[j], r[j + 1]);
-      }
-      for (int64_t j = 0; j < 8; j += 4) {
-        r[j] = _mm256_shuffle_ps(t[j], t[j + 2], _MM_SHUFFLE(1, 0, 1, 0));
-        r[j + 1] = _mm256_shuffle_ps(t[j], t[j + 2], _MM_SHUFFLE(3, 2, 3, 2));
-        r[j + 2] =
-            _mm256_shuffle_ps(t[j + 1], t[j + 3], _MM_SHUFFLE(1, 0, 1, 0));
-        r[j + 3] =
-            _mm256_shuffle_ps(t[j + 1], t[j + 3], _MM_SHUFFLE(3, 2, 3, 2));
-      }
-      float* d = dst + kk * kNR + h * 8;
-      for (int64_t j = 0; j < 4; ++j) {
-        _mm256_storeu_ps(d + j * kNR,
-                         _mm256_permute2f128_ps(r[j], r[j + 4], 0x20));
-        _mm256_storeu_ps(d + (j + 4) * kNR,
-                         _mm256_permute2f128_ps(r[j], r[j + 4], 0x31));
-      }
-    }
-  }
-  pack_bt_panel(s + kk, lds, kNR, k - kk, dst + kk * kNR);
-}
-#endif
-
 }  // namespace
 
 int64_t gemm_packed_a_floats(int64_t m, int64_t k) {
@@ -228,23 +174,6 @@ void gemm_pack_b(const float* b, int64_t ldb, int64_t k, int64_t n,
       for (int64_t j = 0; j < jw; ++j) bp[j] = src[j];
       for (int64_t j = jw; j < kNR; ++j) bp[j] = 0.f;
     }
-  }
-}
-
-void gemm_pack_bt(const float* s, int64_t lds, int64_t n, int64_t k,
-                  float* bp) {
-#if SAUFNO_X86_DISPATCH
-  const bool avx2 = simd::level() == simd::Level::kAvx2;
-#endif
-  for (int64_t j0 = 0; j0 < n; j0 += kNR, bp += k * kNR) {
-    const int64_t jw = std::min(kNR, n - j0);
-#if SAUFNO_X86_DISPATCH
-    if (avx2 && jw == kNR) {
-      pack_bt_panel_avx2(s + j0 * lds, lds, k, bp);
-      continue;
-    }
-#endif
-    pack_bt_panel(s + j0 * lds, lds, jw, k, bp);
   }
 }
 

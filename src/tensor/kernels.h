@@ -24,14 +24,13 @@ void gemm(const float* a, const float* b, float* c, int64_t m, int64_t n,
 // The pieces gemm() is built from, for callers that reuse one packed
 // operand across many products (the fused attention kernel packs each
 // batch item's Kᵀ and V once per call as A operands, and each query
-// block's Q as the B operand of the transposed scores; the forward conv
-// packs its weights once and builds each chunk's columns with
-// im2col_packed_cols). All are
-// serial. Each element of gemm_packed's C is one mul-add chain over k in
-// fixed order — K blocks of 512 folded into C in order, never reordered by
-// the panel geometry, the caller's row or column split or the thread — so
-// any product assembled from these pieces is bit-identical to the same
-// product through gemm().
+// block's columns of Q [d, N] as the B operand of the transposed scores;
+// the forward conv packs its weights once and builds each chunk's columns
+// with im2col_packed_cols). All are serial. Each element of gemm_packed's
+// C is one mul-add chain over k in fixed order — K blocks of 512 folded
+// into C in order, never reordered by the panel geometry, the caller's row
+// or column split or the thread — so any product assembled from these
+// pieces is bit-identical to the same product through gemm().
 
 /// Columns per packed-B panel (the microkernel's NR): panel p of a packed
 /// B [k, n] holds columns 16p..16p+15 in k * 16 consecutive floats.
@@ -60,17 +59,10 @@ void gemm_pack_at(const float* s, int64_t lds, int64_t m, int64_t k,
 void gemm_pack_b(const float* b, int64_t ldb, int64_t k, int64_t n,
                  float* bp);
 
-/// Packs B = Sᵀ, given S [n, k] (row stride lds), into the gemm_pack_b
-/// layout: panel p holds rows 16p..16p+15 of S, transposed through 8x8
-/// register blocks rather than a stride-16 scatter. Pure data movement,
-/// so the packed bits equal gemm_pack_b of a materialized Sᵀ.
-void gemm_pack_bt(const float* s, int64_t lds, int64_t n, int64_t k,
-                  float* bp);
-
 /// Serial tile loop: C[m, n] (row stride ldc) (+)= A * B from
-/// gemm_pack_a/gemm_pack_at(.., m, k, ap) and
-/// gemm_pack_b/gemm_pack_bt(.., k, n, bp). With n = 16 and ldc = 16, C is
-/// itself one packed-B panel of a [m, 16] operand.
+/// gemm_pack_a/gemm_pack_at(.., m, k, ap) and gemm_pack_b(.., k, n, bp).
+/// With n = 16 and ldc = 16, C is itself one packed-B panel of a [m, 16]
+/// operand.
 void gemm_packed(const float* ap, const float* bp, float* c, int64_t ldc,
                  int64_t m, int64_t n, int64_t k, bool accumulate);
 

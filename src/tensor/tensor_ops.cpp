@@ -786,7 +786,8 @@ constexpr int64_t kAttnRows = 64;
 // levels: the max of x * scale in reduce_max's order, exp(x * scale - max)
 // summed in double in vexp_sum's order (lane = key mod 8, the lanes added
 // left to right by sum_lanes), then one multiply by (float)(1 / sum). So
-// the panel is bit-identical to the row softmax followed by gemm_pack_bt.
+// the panel is bit-identical to the row softmax followed by gemm_pack_b of
+// the transposed probabilities.
 // fp-contract=off keeps the scale multiply and the max subtract two
 // roundings, as they are in softmax_row; under target("fma") GCC would
 // fuse them into one.
@@ -908,9 +909,9 @@ void attention_into(const Tensor& q, const Tensor& k, const Tensor& v,
                     float scale, Tensor& out) {
   SAUFNO_CHECK(q.dim() == 3 && k.dim() == 3 && v.dim() == 3,
                "attention requires 3-D q, k, v");
-  const int64_t batch = q.shape()[0], n = q.shape()[1], d = q.shape()[2];
+  const int64_t batch = q.shape()[0], d = q.shape()[1], n = q.shape()[2];
   const int64_t c = v.shape()[1];
-  SAUFNO_CHECK(k.shape() == (Shape{batch, d, n}) && v.shape()[0] == batch &&
+  SAUFNO_CHECK(k.shape() == q.shape() && v.shape()[0] == batch &&
                    v.shape()[2] == n,
                "attention shape mismatch: q " + shape_str(q.shape()) +
                    ", k " + shape_str(k.shape()) + ", v " +
@@ -936,18 +937,19 @@ void attention_into(const Tensor& q, const Tensor& k, const Tensor& v,
   });
 
   // One chunk per (batch, query block), all of its gemms serial. The
-  // scores come out transposed, Sᵀ = Kᵀ Qᵀ, one 16-query panel at a time
-  // with ldc = 16, which is the packed-B layout the mix product V Pᵀ
-  // reads: the softmax runs down each panel's columns in place and the
-  // panels feed the mix as they stand. Each step is the composed chain's
-  // own arithmetic on a subset: every score is gemm(q, k)'s k-ordered chain
+  // scores come out transposed, Sᵀ = Kᵀ Q, with the block's columns of
+  // Q [d, N] packed as the B operand, one 16-query panel at a time with
+  // ldc = 16, which is the packed-B layout the mix product V Pᵀ reads: the
+  // softmax runs down each panel's columns in place and the panels feed
+  // the mix as they stand. Each step is the composed chain's own
+  // arithmetic on a subset: every score is gemm(qᵀ, k)'s k-ordered chain
   // (its two factors swapped, which a product never sees), each column's
   // softmax is the scaled softmax of that query's row, and the mix is
   // bmm(v, permute(P))'s own product restricted to the block's output
   // columns, stored in place into [B, C, N]. So the result is bit-identical
-  // to bmm -> scaled softmax -> permute -> bmm for every block size and
-  // thread count, with kAttnRows * n floats of per-lane scratch instead of
-  // [batch, n, n].
+  // to bmm(permute(q), k) -> scaled softmax -> permute -> bmm for every
+  // block size and thread count, with kAttnRows * n floats of per-lane
+  // scratch instead of [batch, n, n].
   const int64_t blocks = (n + kAttnRows - 1) / kAttnRows;
   const int64_t panel = gemm_packed_b_floats(n, kGemmPanelCols);
   runtime::parallel_for(0, batch * blocks, 1, [&](int64_t t0, int64_t t1) {
@@ -958,7 +960,7 @@ void attention_into(const Tensor& q, const Tensor& k, const Tensor& v,
       const int64_t b = t / blocks;
       const int64_t i0 = (t % blocks) * kAttnRows;
       const int64_t rows = std::min(kAttnRows, n - i0);
-      gemm_pack_bt(q.data() + (b * n + i0) * d, d, rows, d, qp.data());
+      gemm_pack_b(q.data() + b * d * n + i0, n, d, rows, qp.data());
       for (int64_t r0 = 0; r0 < rows; r0 += kGemmPanelCols) {
         float* pp = pt.data() + r0 / kGemmPanelCols * panel;
         gemm_packed(kp.data() + b * kp_floats, qp.data() + r0 * d, pp,

@@ -147,21 +147,22 @@ void fused_add_act_into(const Tensor& a, const Tensor& b, const Tensor* c,
 /// followed by softmax.
 void scaled_softmax_lastdim_into(const Tensor& a, float scale, Tensor& out);
 
-/// Fused self-attention: out[b] = v[b] * softmax_lastdim(q[b] k[b] * scale)^T
-/// for q [B,N,d], k [B,d,N], v [B,C,N], out [B,C,N]. Runs over fixed
-/// 64-query blocks, so no [N,N] tensor exists: each block's scores are
-/// computed transposed, Kᵀ Qᵀ, one 16-query panel at a time straight into
-/// the packed Pᵀ layout of the mix product, and the scaled softmax runs
-/// down the panel columns with the row softmax's own operations in its
-/// order. Bit-identical to bmm -> scaled_softmax_lastdim -> permute -> bmm
-/// for every SAUFNO_NUM_THREADS, NaN included, while at most one NaN
-/// payload is in play per batch item. When two NaNs with different
-/// payloads meet in one add or multiply, the compiler's operand order
-/// decides which survives: a NaN key (0x7fc00000) beside an inf key (whose
-/// inf - inf gives 0xffc00000) in one item may come out with either
-/// payload here and in the chain. PlanKernels.
-/// AttentionBitIdenticalToComposition keeps its infinities out of the NaN
-/// item for this reason.
+/// Fused self-attention:
+/// out[b] = v[b] * softmax_lastdim(q[b]ᵀ k[b] * scale)^T for q [B,d,N] and
+/// k [B,d,N] (both as the 1x1 projections write them), v [B,C,N], out
+/// [B,C,N]. Runs over fixed 64-query blocks, so no [N,N] tensor exists:
+/// each block's scores are computed transposed, Kᵀ Q, one 16-query panel
+/// at a time straight into the packed Pᵀ layout of the mix product, and
+/// the scaled softmax runs down the panel columns with the row softmax's
+/// own operations in its order. Bit-identical to bmm(permute(q), k) ->
+/// scaled_softmax_lastdim -> permute -> bmm for every SAUFNO_NUM_THREADS,
+/// NaN included, while at most one NaN payload is in play per batch item.
+/// When two NaNs with different payloads meet in one add or multiply, the
+/// compiler's operand order decides which survives: a NaN key (0x7fc00000)
+/// beside an inf key (whose inf - inf gives 0xffc00000) in one item may
+/// come out with either payload here and in the chain.
+/// PlanKernels.AttentionBitIdenticalToComposition keeps its infinities out
+/// of the NaN item for this reason.
 void attention_into(const Tensor& q, const Tensor& k, const Tensor& v,
                     float scale, Tensor& out);
 

@@ -2,7 +2,6 @@
 
 #include "baselines/cnn.h"
 #include "baselines/deep_o_heat.h"
-#include "baselines/fno.h"
 #include "baselines/gar.h"
 #include "common/logging.h"
 #include "core/sau_fno.h"
@@ -85,21 +84,13 @@ std::shared_ptr<nn::Module> make_model(const std::string& name,
         rng);
   }
   if (name == "FNO") {
-    baselines::Fno::Config c;
-    c.in_channels = in_channels;
-    c.out_channels = out_channels;
-    if (size_hint >= 1) {
-      c.width = 32;
-      c.modes1 = 12;
-      c.modes2 = 12;
-      c.n_layers = 4;
-    } else {
-      c.width = 12;
-      c.modes1 = 8;
-      c.modes2 = 8;
-      c.n_layers = 3;
-    }
-    return std::make_shared<baselines::Fno>(c, rng);
+    // Plain FNO (Li et al. [23], Eq. 6): SAU-FNO with no U-Fourier layer
+    // and no attention.
+    core::SauFno::Config c = sau_config(in_channels, out_channels, size_hint,
+                                        core::AttentionPlacement::kNone);
+    c.n_fourier = size_hint >= 1 ? 4 : 3;
+    c.n_ufourier = 0;
+    return std::make_shared<core::SauFno>(c, rng);
   }
   if (name == "DeepOHeat") {
     baselines::DeepOHeat::Config c;

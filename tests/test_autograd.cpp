@@ -316,17 +316,18 @@ TEST(GradCheck, Permute4d) {
 }
 
 // The composed chain ops::attention replaces: bmm -> scaled softmax ->
-// bmm with a permuted key, as core::SelfAttentionBlock computed it before
-// the fused op. q [B,N,d], kt [B,N,d], vt [B,N,C] -> [B,N,C].
+// bmm with a permuted query and key, as core::SelfAttentionBlock computed
+// it before the fused op. q [B,d,N], kt [B,N,d], vt [B,N,C] -> [B,N,C].
 Var composed_attention(const Var& q, const Var& kt, const Var& vt,
                        float scale) {
-  Var scores = ops::bmm(q, ops::permute(kt, {0, 2, 1}));
+  Var scores =
+      ops::bmm(ops::permute(q, {0, 2, 1}), ops::permute(kt, {0, 2, 1}));
   Var attn = ops::softmax_lastdim(ops::mul_scalar(scores, scale));
   return ops::bmm(attn, vt);
 }
 
-// The same map through ops::attention, which takes k as [B,d,N] and v as
-// [B,C,N] and returns [B,C,N].
+// The same map through ops::attention, which takes q and k as [B,d,N] and
+// v as [B,C,N] and returns [B,C,N].
 Var fused_attention(const Var& q, const Var& kt, const Var& vt, float scale) {
   return ops::attention(q, ops::permute(kt, {0, 2, 1}),
                         ops::permute(vt, {0, 2, 1}), scale);
@@ -337,7 +338,7 @@ TEST(GradCheck, AttentionComposition) {
   // which the per-op checks above cannot: once through the composed chain
   // and once through the fused op's own backward.
   Rng rng(28);
-  Var q = leaf({2, 3, 4}, rng);
+  Var q = leaf({2, 4, 3}, rng);
   Var k = leaf({2, 3, 4}, rng);
   Var v = leaf({2, 3, 4}, rng);
   expect_gradients_match(
@@ -358,8 +359,8 @@ TEST(GradCheck, FusedAttentionGradientsMatchComposedChain) {
   // q/k/v gradients of ops::attention against the composed chain, at a
   // size with several softmax columns and a non-square d x C.
   Rng rng(29);
-  const Shape qs{2, 11, 3}, vs{2, 11, 5};
-  const Tensor q0 = Tensor::randn(qs, rng), k0 = Tensor::randn(qs, rng),
+  const Shape qs{2, 3, 11}, ks{2, 11, 3}, vs{2, 11, 5};
+  const Tensor q0 = Tensor::randn(qs, rng), k0 = Tensor::randn(ks, rng),
                v0 = Tensor::randn(vs, rng);
   const Tensor w = Tensor::randn({2, 5, 11}, rng);  // loss weights
   auto grads = [&](bool fused) {

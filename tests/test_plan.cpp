@@ -193,18 +193,15 @@ TEST(PlanCompile, FusedOpsPerZooModel) {
     EXPECT_FALSE(plan::to_string(exec->plan()).empty());
     if (name != "SAU-FNO") continue;
     // Every 1x1 channel map is one kConv2d on a folded [cout, cin, 1, 1]
-    // weight, so no matmul is left, and the one permute is the attention
-    // block's [B, N, d] query.
+    // weight, so no matmul is left, and kAttention takes its query as the
+    // [B, d, N] the projection writes, so no permute is left either.
     int matmuls = 0, permutes = 0;
     for (const plan::Instr& ins : exec->plan().instrs) {
       if (ins.op == plan::OpCode::kMatmul) ++matmuls;
-      if (ins.op == plan::OpCode::kPermute) {
-        ++permutes;
-        EXPECT_NE(ins.label.find("attention"), std::string::npos) << ins.label;
-      }
+      if (ins.op == plan::OpCode::kPermute) ++permutes;
     }
     EXPECT_EQ(matmuls, 0);
-    EXPECT_EQ(permutes, 1);
+    EXPECT_EQ(permutes, 0);
   }
 }
 
@@ -285,10 +282,10 @@ TEST(PlanKernels, ScaledSoftmaxBitIdenticalToMulScalarSoftmax) {
   expect_bitwise(out, want, "softmax(0.37*a)");
 }
 
-// The chain kAttention replaces, one kernel per step.
+// The chain kAttention replaces, one kernel per step, for q [B, d, N].
 Tensor composed_attention(const Tensor& q, const Tensor& k, const Tensor& v,
                           float scale) {
-  Tensor scores = bmm(q, k);
+  Tensor scores = bmm(permute(q, {0, 2, 1}), k);
   Tensor a(scores.shape());
   scaled_softmax_lastdim_into(scores, scale, a);
   return bmm(v, permute(a, {0, 2, 1}));
@@ -320,7 +317,7 @@ TEST(PlanKernels, AttentionBitIdenticalToComposition) {
               ", N=" + std::to_string(n) + ", d=" + std::to_string(d) +
               ", c=" + std::to_string(c);
           Rng rng(static_cast<std::uint64_t>(100 * n + 10 * c + b));
-          Tensor q = Tensor::randn({b, n, d}, rng);
+          Tensor q = Tensor::randn({b, d, n}, rng);
           Tensor k = Tensor::randn({b, d, n}, rng);
           Tensor v = Tensor::randn({b, c, n}, rng);
           Tensor out({b, c, n});
@@ -334,7 +331,7 @@ TEST(PlanKernels, AttentionBitIdenticalToComposition) {
       // chunks, each running both of its block gemms serially.
       const int64_t b = 2, n = 130, d = 12, c = 13;
       Rng rng(11);
-      Tensor q = Tensor::randn({b, n, d}, rng);
+      Tensor q = Tensor::randn({b, d, n}, rng);
       Tensor k = Tensor::randn({b, d, n}, rng);
       Tensor v = Tensor::randn({b, c, n}, rng);
       Tensor out({b, c, n});
@@ -349,7 +346,7 @@ TEST(PlanKernels, AttentionBitIdenticalToComposition) {
     // and every output of the poisoned item must be non-finite.
     const int64_t b = 3, n = 65;
     Rng rng(7);
-    Tensor q = Tensor::randn({b, n, d}, rng);
+    Tensor q = Tensor::randn({b, d, n}, rng);
     Tensor k = Tensor::randn({b, d, n}, rng);
     Tensor v = Tensor::randn({b, c, n}, rng);
     Tensor clean({b, c, n});
@@ -380,7 +377,7 @@ TEST(PlanKernels, AttentionBitIdenticalToComposition) {
     // returns, and the compiler may swap a product's operands.
     for (const int64_t ne : {int64_t{65}, int64_t{300}}) {
       Rng erng(static_cast<std::uint64_t>(ne));
-      Tensor eq = Tensor::randn({b, ne, d}, erng);
+      Tensor eq = Tensor::randn({b, d, ne}, erng);
       Tensor ek = Tensor::randn({b, d, ne}, erng);
       Tensor ev = Tensor::randn({b, c, ne}, erng);
       const auto key = [&](int64_t item, int64_t dim, int64_t j) -> float& {

@@ -586,21 +586,6 @@ TEST(Conv2dInto, BitIdenticalToIm2colGemmEpilogue) {
   pool.resize(restore);
 }
 
-TEST(Gemm, PackTransposedMatchesPackOfTranspose) {
-  // 37 rows: two full 16-row panels through the 8x8 transposes plus a
-  // 5-row tail; 45 columns: five 8-column blocks plus a 5-column tail.
-  Rng rng(29);
-  const int64_t n = 37, k = 45;
-  const Tensor s = Tensor::randn({n, k}, rng);
-  const Tensor st = transpose2d(s);
-  std::vector<float> want(static_cast<std::size_t>(gemm_packed_b_floats(k, n)));
-  std::vector<float> got(want.size(), -1.f);
-  gemm_pack_b(st.data(), n, k, n, want.data());
-  gemm_pack_bt(s.data(), k, n, k, got.data());
-  EXPECT_EQ(std::memcmp(got.data(), want.data(), sizeof(float) * want.size()),
-            0);
-}
-
 TEST(Gemm, EachElementIsOneChainPerKBlock) {
   // gemm and gemm_packed against gemm_chain_reference, the per-element
   // contract of kernels.h, memcmp'd. k = 511, 512 and 513 straddle the
@@ -635,17 +620,25 @@ TEST(Gemm, EachElementIsOneChainPerKBlock) {
       expect_same_bits(got.data(), want.data(), m * n,
                        "gemm_packed, " + fold);
     }
-    // The attention scores' call: A = Kᵀ packed from K [k, m], B = Qᵀ
-    // packed from Q's rows, C one [m, 16] packed-B panel (ldc = 16) with 16
-    // live columns, or 12 as in a partial last panel.
+    // The attention scores' call: A = Kᵀ packed from K [k, m], B a query
+    // block's columns of Q [k, n], read from column 5 with ldb = n wider
+    // than the block, C one [m, 16] packed-B panel (ldc = 16) with 16 live
+    // columns, or 12 as in a partial last panel.
     const Tensor s = Tensor::randn({k, m}, rng);
     gemm_pack_at(s.data(), m, m, k, ap.data());
+    const Tensor q = Tensor::randn({k, n}, rng);
+    const int64_t col0 = 5;
     for (const int64_t rows : {16, 12}) {
-      const Tensor q = Tensor::randn({rows, k}, rng);
-      gemm_pack_bt(q.data(), k, rows, k, bp.data());
+      gemm_pack_b(q.data() + col0, n, k, rows, bp.data());
+      Tensor block({k, rows});
+      for (int64_t kk = 0; kk < k; ++kk) {
+        for (int64_t j = 0; j < rows; ++j) {
+          block.data()[kk * rows + j] = q.data()[kk * n + col0 + j];
+        }
+      }
       Tensor want({m, kGemmPanelCols}), got({m, kGemmPanelCols});
-      gemm_chain_reference(transpose2d(s).data(), transpose2d(q).data(),
-                           want.data(), kGemmPanelCols, m, rows, k, false);
+      gemm_chain_reference(transpose2d(s).data(), block.data(), want.data(),
+                           kGemmPanelCols, m, rows, k, false);
       gemm_packed(ap.data(), bp.data(), got.data(), kGemmPanelCols, m, rows,
                   k, false);
       expect_same_bits(got.data(), want.data(), m * kGemmPanelCols,
